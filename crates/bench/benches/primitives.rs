@@ -7,14 +7,12 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use privateer_ir::Heap;
 use privateer_profile::IntervalMap;
 use privateer_runtime::checkpoint::{
-    collect_contribution, merge_lane, CheckpointMerge, Contribution, DeltaTracker,
-    ReferenceCheckpointMerge,
+    collect_contribution, CheckpointMerge, DeltaTracker, ReferenceCheckpointMerge,
 };
 use privateer_runtime::shadow::Access;
 use privateer_runtime::worker::WorkerRuntime;
 use privateer_vm::{AddressSpace, RegionAllocator, RuntimeIface};
 use std::hint::black_box;
-use std::sync::{mpsc, Arc};
 
 fn bench_shadow_transitions(c: &mut Criterion) {
     // The fast-phase privacy check: one Table 2 transition per byte.
@@ -218,97 +216,6 @@ fn bench_multi_period_checkpoint(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_merge_lanes(c: &mut Criterion) {
-    // The sharded phase-2 merge (`EngineConfig::merge_lanes`): 8 periods,
-    // each contributing 16 fully-written pages, merged serially versus
-    // across 4 page-sharded lanes on a persistent pool — the same
-    // shard-by-page-index scheme and persistent-thread structure as the
-    // engine's merge-lane pool, so the pair measures exactly what the
-    // engine's lane count buys per period.
-    const PERIODS: u64 = 8;
-    const PAGES_PER_PERIOD: u64 = 16;
-    const LANES: usize = 4;
-
-    fn contributions(lanes: usize) -> Vec<Contribution> {
-        let mut rt = WorkerRuntime::new(0, 0.0, 0);
-        let mut mem = AddressSpace::new();
-        let mut tracker = DeltaTracker::with_lanes(lanes);
-        let mut out = Vec::new();
-        for p in 0..PERIODS {
-            rt.begin_iteration(p as i64, 0).unwrap();
-            for q in 0..PAGES_PER_PERIOD {
-                let a = Heap::Private.base() + 0x1000 + (p * PAGES_PER_PERIOD + q) * 4096;
-                rt.private_write(a, 4096, &mut mem).unwrap();
-                mem.write_bytes(a, &[0xEF; 4096]);
-            }
-            rt.end_iteration().unwrap();
-            out.push(tracker.collect(0, p, &mut mem, &[], vec![]));
-        }
-        out
-    }
-
-    let mut g = c.benchmark_group("merge_lanes_8x16_pages");
-    g.bench_function("lanes_1", |b| {
-        let contribs = contributions(1);
-        b.iter(|| {
-            let mut committed = AddressSpace::new();
-            for contrib in &contribs {
-                let mut merge = CheckpointMerge::new(0);
-                merge_lane(&mut merge, std::slice::from_ref(contrib), 0, 1, &committed).unwrap();
-                merge.commit(&mut committed);
-            }
-            black_box(committed.page_count());
-        });
-    });
-    g.bench_function("lanes_4", |b| {
-        let contribs: Vec<Arc<Contribution>> =
-            contributions(LANES).into_iter().map(Arc::new).collect();
-        let (res_tx, res_rx) = mpsc::channel::<(usize, CheckpointMerge)>();
-        let mut txs = Vec::new();
-        let mut handles = Vec::new();
-        for lane in 0..LANES {
-            let (tx, rx) = mpsc::channel::<(Arc<Contribution>, Arc<AddressSpace>)>();
-            let res_tx = res_tx.clone();
-            txs.push(tx);
-            handles.push(std::thread::spawn(move || {
-                for (contrib, committed) in rx.iter() {
-                    let mut merge = CheckpointMerge::new(0);
-                    merge_lane(
-                        &mut merge,
-                        std::slice::from_ref(contrib.as_ref()),
-                        lane,
-                        LANES,
-                        &committed,
-                    )
-                    .unwrap();
-                    res_tx.send((lane, merge)).unwrap();
-                }
-            }));
-        }
-        b.iter(|| {
-            let mut committed = AddressSpace::new();
-            for contrib in &contribs {
-                let snap = Arc::new(committed.fork());
-                for tx in &txs {
-                    tx.send((contrib.clone(), snap.clone())).unwrap();
-                }
-                let mut merges: Vec<(usize, CheckpointMerge)> =
-                    (0..LANES).map(|_| res_rx.recv().unwrap()).collect();
-                merges.sort_by_key(|(l, _)| *l);
-                for (_, merge) in merges {
-                    merge.commit(&mut committed);
-                }
-            }
-            black_box(committed.page_count());
-        });
-        drop(txs);
-        for h in handles {
-            h.join().unwrap();
-        }
-    });
-    g.finish();
-}
-
 fn bench_interval_map(c: &mut Criterion) {
     // The pointer-to-object profiler's core structure.
     c.bench_function("interval_map_insert_query_1k", |b| {
@@ -349,7 +256,6 @@ criterion_group!(
     bench_cow_fork,
     bench_checkpoint_merge,
     bench_multi_period_checkpoint,
-    bench_merge_lanes,
     bench_interval_map,
     bench_allocator
 );

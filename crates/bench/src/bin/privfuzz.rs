@@ -3,9 +3,9 @@
 //!
 //! Generates seeded random transformed loops and runs each through the
 //! full execution-mode matrix ([`privateer_fuzz::oracle`]): sequential
-//! baseline, the speculative engine at every requested worker ×
-//! merge-lane combination, the reference-merge differential mode, and
-//! seeded virtual-scheduler interleavings. The first divergence is
+//! baseline, the speculative engine at every requested worker count with
+//! the fast merge and with the reference merge, and seeded
+//! virtual-scheduler interleavings. The first divergence is
 //! shrunk to a minimal case and written as a repro file replayable with
 //! `--replay`.
 //!
@@ -21,7 +21,6 @@ struct Options {
     seed: u64,
     cases: u64,
     workers: Vec<usize>,
-    lanes: Vec<usize>,
     period: u64,
     schedule_seeds: u64,
     out_dir: String,
@@ -33,7 +32,6 @@ usage: privfuzz [options]
   --seed N           campaign seed (default: 1)
   --cases N          generated cases to run (default: 200)
   --workers A,B,..   engine worker counts to cross (default: 2,5)
-  --lanes A,B,..     merge-lane counts to cross (default: 1,4)
   --period K         checkpoint period in iterations (default: 4)
   --schedule-seeds N virtual-scheduler interleavings per case (default: 2)
   --out DIR          directory for repro files on failure (default: .)
@@ -55,7 +53,6 @@ fn parse_args() -> Result<Options, String> {
         seed: 1,
         cases: 200,
         workers: vec![2, 5],
-        lanes: vec![1, 4],
         period: 4,
         schedule_seeds: 2,
         out_dir: ".".to_string(),
@@ -79,7 +76,6 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("--cases: {e}"))?
             }
             "--workers" => opts.workers = parse_list("--workers", &value("--workers")?)?,
-            "--lanes" => opts.lanes = parse_list("--lanes", &value("--lanes")?)?,
             "--period" => {
                 opts.period = value("--period")?
                     .parse()
@@ -115,7 +111,6 @@ fn main() -> ExitCode {
     };
     let oc = OracleConfig {
         workers: opts.workers.clone(),
-        lanes: opts.lanes.clone(),
         checkpoint_period: opts.period,
         schedule_seeds: opts.schedule_seeds,
     };
@@ -156,8 +151,8 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "privfuzz: seed {} · {} cases · workers {:?} × lanes {:?} · k={} · {} schedule seed(s)",
-        opts.seed, opts.cases, opts.workers, opts.lanes, opts.period, opts.schedule_seeds
+        "privfuzz: seed {} · {} cases · workers {:?} × {{fast, reference}} merge · k={} · {} schedule seed(s)",
+        opts.seed, opts.cases, opts.workers, opts.period, opts.schedule_seeds
     );
     let summary = run_seeded(opts.seed, opts.cases, &oc);
     println!(

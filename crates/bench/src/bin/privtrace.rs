@@ -8,7 +8,8 @@
 //! ```
 
 use privateer_bench::{run_privateer_with_telemetry, workloads, Scale};
-use privateer_telemetry::{chrome_trace, json_lines, Telemetry};
+use privateer_telemetry::{chrome_trace, json_lines, Telemetry, TraceData};
+use std::fmt::Write;
 use std::process::ExitCode;
 
 struct Options {
@@ -83,6 +84,62 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// The per-phase time breakdown of a capture, as printed.
+///
+/// Spans nest (parallel ⊃ iteration ⊃ priv_read/priv_write; checkpoint
+/// work splits into package/normalize on the workers and merge/commit on
+/// the engine), so the percentages are relative to the parallel-span wall
+/// plus recovery wall — the denominators of the paper's Figure 8. A
+/// capture that dropped events is partial, and shares computed from it
+/// would mislead, so then only the drop count is reported.
+fn phase_breakdown(trace: &TraceData) -> String {
+    let mut out = format!(
+        "\nphase breakdown ({} events captured):\n",
+        trace.events.len()
+    );
+    if trace.dropped > 0 {
+        let _ = writeln!(
+            out,
+            "  withheld: {} events dropped to ring overflow, so the capture is partial",
+            trace.dropped
+        );
+        return out;
+    }
+    let totals = trace.phase_totals();
+    let total_of = |name: &str| {
+        totals
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |&(_, t)| t)
+    };
+    let denom = (total_of("parallel") + total_of("recovery")).max(1) as f64;
+    let _ = writeln!(out, "  {:<12} {:>12} {:>8}", "phase", "total", "share");
+    for phase in [
+        "parallel",
+        "iteration",
+        "priv_read",
+        "priv_write",
+        "package",
+        "normalize",
+        "merge",
+        "commit",
+        "recovery",
+    ] {
+        let t = total_of(phase);
+        if t == 0 && !matches!(phase, "parallel" | "recovery") {
+            continue;
+        }
+        let _ = writeln!(
+            out,
+            "  {:<12} {:>9.3} ms {:>7.2}%",
+            phase,
+            t as f64 / 1e6,
+            t as f64 / denom * 100.0,
+        );
+    }
+    out
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -116,50 +173,7 @@ fn main() -> ExitCode {
         if ok { "matches reference" } else { "DIVERGED" },
     );
 
-    // Per-phase time breakdown. Spans nest (parallel ⊃ iteration ⊃
-    // priv_read/priv_write; checkpoint work splits into package/normalize
-    // on the workers and merge/commit on the engine), so the percentages
-    // are relative to the parallel-span wall plus recovery wall — the
-    // denominators of the paper's Figure 8.
-    let totals = trace.phase_totals();
-    let total_of = |name: &str| {
-        totals
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |&(_, t)| t)
-    };
-    let denom = (total_of("parallel") + total_of("recovery")).max(1) as f64;
-    println!(
-        "\nphase breakdown ({} events captured):",
-        trace.events.len()
-    );
-    println!("  {:<12} {:>12} {:>8}", "phase", "total", "share");
-    for phase in [
-        "parallel",
-        "iteration",
-        "priv_read",
-        "priv_write",
-        "package",
-        "normalize",
-        "merge",
-        "merge_lane",
-        "commit",
-        "recovery",
-    ] {
-        let t = total_of(phase);
-        if t == 0 && !matches!(phase, "parallel" | "recovery") {
-            continue;
-        }
-        println!(
-            "  {:<12} {:>9.3} ms {:>7.2}%",
-            phase,
-            t as f64 / 1e6,
-            t as f64 / denom * 100.0,
-        );
-    }
-    if trace.dropped > 0 {
-        println!("  ({} events dropped to ring overflow)", trace.dropped);
-    }
+    print!("{}", phase_breakdown(&trace));
 
     println!("\nmetrics:");
     for (name, snap) in &trace.metrics {
@@ -185,5 +199,52 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use privateer_telemetry::{Phase, SpanEvent};
+
+    fn capture(dropped: u64) -> TraceData {
+        let span = |phase, dur_ns| SpanEvent {
+            ts_ns: 0,
+            dur_ns,
+            phase,
+            track: 0,
+            a: 0,
+            b: 0,
+        };
+        TraceData {
+            events: vec![
+                span(Phase::ParallelSpan, 4_000_000),
+                span(Phase::Iteration, 1_000_000),
+            ],
+            metrics: Vec::new(),
+            dropped,
+        }
+    }
+
+    #[test]
+    fn partial_capture_withholds_the_phase_table() {
+        let text = phase_breakdown(&capture(1));
+        assert!(text.contains("1 events dropped"), "{text}");
+        assert!(
+            !text.contains('%'),
+            "shares printed from a partial capture: {text}"
+        );
+        assert!(!text.contains("iteration"), "{text}");
+    }
+
+    #[test]
+    fn complete_capture_prints_shares() {
+        let text = phase_breakdown(&capture(0));
+        assert!(text.contains("parallel"), "{text}");
+        assert!(
+            text.contains("25.00%"),
+            "iteration is a quarter of the span: {text}"
+        );
+        assert!(!text.contains("dropped"), "{text}");
     }
 }

@@ -7,7 +7,7 @@
 //! a speculatively parallelized loop must be byte-identical to its
 //! sequential execution — output, committed memory, and the verdict on
 //! genuine program errors — at any worker count, any checkpoint period,
-//! any merge-lane count, and under any interleaving. This crate turns
+//! with either phase-2 merge, and under any interleaving. This crate turns
 //! that contract into a generator-driven oracle:
 //!
 //! * [`gen`] — a seeded generator of random transformed IR loops
@@ -17,14 +17,15 @@
 //!   predictions, wrong-heap pointers, lifetime leaks, genuine faults),
 //!   with a text repro format for replay;
 //! * [`oracle`] — runs one case through the sequential baseline and the
-//!   speculative engine across a worker × merge-lane config matrix, the
+//!   speculative engine at every configured worker count, each with the
+//!   fast merge and with the
 //!   [`ReferenceCheckpointMerge`](privateer_runtime::checkpoint::ReferenceCheckpointMerge)
 //!   differential mode, and seeded
 //!   [`VirtualScheduler`](privateer_runtime::VirtualScheduler)
 //!   interleavings, asserting byte-identical output, identical
 //!   trap decisions, and conserved `EngineStats`/telemetry invariants —
 //!   plus automatic test-case shrinking on failure;
-//! * [`trace`] — the shared trace/packaging strategies used by the
+//! * [`trace`] — the shared trace strategies used by the
 //!   runtime's checkpoint proptests and reusable from fuzz harnesses;
 //! * [`rng`] — the deterministic `splitmix64` generator everything is
 //!   seeded with (same seed ⇒ same cases ⇒ same verdicts).

@@ -4,12 +4,11 @@
 //! For a [`CaseSpec`] the oracle runs:
 //!
 //! 1. the sequential baseline ([`SequentialPlanRuntime`]);
-//! 2. the speculative engine at every worker × merge-lane combination in
-//!    the [`OracleConfig`] matrix;
-//! 3. the engine in [`EngineConfig::reference_merge`] mode, pitting the
-//!    dense phase-2 fast path against the simple per-address reference
-//!    merge inside the full pipeline;
-//! 4. seeded [`VirtualScheduler::random_arrivals`] runs, so
+//! 2. the speculative engine at every worker count in the
+//!    [`OracleConfig`] matrix, once with the dense phase-2 fast path and
+//!    once in [`EngineConfig::reference_merge`] mode, pitting it against
+//!    the simple per-address reference merge inside the full pipeline;
+//! 3. seeded [`VirtualScheduler::random_arrivals`] runs, so
 //!    contribution-arrival interleavings free-running spans rarely
 //!    produce are explored deterministically.
 //!
@@ -39,8 +38,6 @@ use std::sync::Arc;
 pub struct OracleConfig {
     /// Worker counts to run the engine at (≥ 1 entry).
     pub workers: Vec<usize>,
-    /// Merge-lane counts to cross with every worker count.
-    pub lanes: Vec<usize>,
     /// Checkpoint period in iterations.
     pub checkpoint_period: u64,
     /// Number of seeded random-arrival scheduler runs per case.
@@ -51,7 +48,6 @@ impl Default for OracleConfig {
     fn default() -> OracleConfig {
         OracleConfig {
             workers: vec![2, 5],
-            lanes: vec![1, 4],
             checkpoint_period: 4,
             schedule_seeds: 2,
         }
@@ -61,7 +57,7 @@ impl Default for OracleConfig {
 /// Why a case failed the oracle.
 #[derive(Debug, Clone)]
 pub struct CaseFailure {
-    /// The execution mode that diverged (e.g. `"workers=2 lanes=4"`).
+    /// The execution mode that diverged (e.g. `"workers=2 merge=reference"`).
     pub mode: String,
     /// What diverged.
     pub detail: String,
@@ -330,26 +326,25 @@ pub fn check_case(spec: &CaseSpec, oc: &OracleConfig) -> Result<CaseReport, Case
         ..CaseReport::default()
     };
 
-    let base_cfg = |workers: usize, lanes: usize| EngineConfig {
+    let base_cfg = |workers: usize, reference_merge: bool| EngineConfig {
         workers,
         checkpoint_period: oc.checkpoint_period,
-        merge_lanes: lanes,
         inject_rate: 0.0,
         inject_seed: 0,
         inject_merge_fault: None,
-        reference_merge: false,
+        reference_merge,
     };
 
     let mut first = true;
     for &w in &oc.workers {
-        for &l in &oc.lanes {
-            let run = engine_run(&m, base_cfg(w, l), None);
+        for (reference, merge) in [(false, "fast"), (true, "reference")] {
+            let run = engine_run(&m, base_cfg(w, reference), None);
             if first {
                 report.misspecs = run.rt.stats.misspecs;
                 first = false;
             }
             compare(
-                &format!("workers={w} lanes={l}"),
+                &format!("workers={w} merge={merge}"),
                 &run,
                 &seq_result,
                 &seq_out,
@@ -359,20 +354,11 @@ pub fn check_case(spec: &CaseSpec, oc: &OracleConfig) -> Result<CaseReport, Case
     }
 
     let w0 = oc.workers.first().copied().unwrap_or(2);
-    let run = engine_run(
-        &m,
-        EngineConfig {
-            reference_merge: true,
-            ..base_cfg(w0, 1)
-        },
-        None,
-    );
-    compare("reference-merge", &run, &seq_result, &seq_out, n)?;
 
     let periods = (n as u64 + oc.checkpoint_period - 1) / oc.checkpoint_period.max(1);
     for s in 0..oc.schedule_seeds {
         let sched = VirtualScheduler::random_arrivals(w0, periods, s);
-        let run = engine_run(&m, base_cfg(w0, 1), Some(Arc::clone(&sched)));
+        let run = engine_run(&m, base_cfg(w0, false), Some(Arc::clone(&sched)));
         let mode = format!("schedule-seed={s}");
         if sched.timeouts() != 0 {
             return Err(CaseFailure {

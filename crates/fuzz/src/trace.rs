@@ -1,22 +1,18 @@
 //! Shared trace/packaging strategies for checkpoint differential tests.
 //!
-//! The runtime's `proptest_checkpoint` and `proptest_sharded_merge`
-//! suites replay the same kind of random multi-worker access trace
-//! through different merge pipelines; this module is the single home of
-//! that machinery — the [`Op`] trace strategy, the per-worker replay
-//! state ([`TraceWorker`]), the deterministic order shuffle, and the
-//! contribution-packaging helpers ([`ascending`], [`Packaging`],
-//! [`sharded_merge_round`]) — parameterized by [`TraceParams`] so each
+//! The runtime's `proptest_checkpoint` suite replays random multi-worker
+//! access traces through the fast and the reference merge pipelines;
+//! this module is the home of that machinery — the [`Op`] trace
+//! strategy, the per-worker replay state ([`TraceWorker`]) and the
+//! deterministic order shuffle — parameterized by [`TraceParams`] so a
 //! suite keeps its own trace shape and the fuzz harness can reuse them
 //! against generated footprints.
 
 use privateer_ir::Heap;
-use privateer_runtime::checkpoint::{
-    merge_lane, CheckpointMerge, Contribution, DeltaTracker, LaneTrap,
-};
+use privateer_runtime::checkpoint::{Contribution, DeltaTracker};
 use privateer_runtime::shadow;
 use privateer_runtime::worker::WorkerRuntime;
-use privateer_vm::{AddressSpace, RuntimeIface, Trap};
+use privateer_vm::{AddressSpace, RuntimeIface};
 use proptest::prelude::*;
 
 /// The shape of a generated trace: worker count, checkpoint periods,
@@ -90,14 +86,12 @@ pub struct TraceWorker {
 }
 
 impl TraceWorker {
-    /// Fresh state for worker `w`, packaging contributions pre-bucketed
-    /// for `bucket_lanes` merge lanes (1 = the unbucketed canonical
-    /// form).
-    pub fn fresh(w: usize, bucket_lanes: usize) -> TraceWorker {
+    /// Fresh state for worker `w`.
+    pub fn fresh(w: usize) -> TraceWorker {
         TraceWorker {
             rt: WorkerRuntime::new(w, 0.0, 0),
             mem: AddressSpace::new(),
-            tracker: DeltaTracker::with_lanes(bucket_lanes),
+            tracker: DeltaTracker::new(),
             cur_iter: -1,
         }
     }
@@ -155,56 +149,6 @@ pub fn touched_shadow_pages(c: &Contribution) -> Vec<u64> {
         .collect()
 }
 
-/// The canonical (single-lane) packaging of a contribution: pages in
-/// ascending base order, one bucket — what a `merge_lanes = 1` worker
-/// would have shipped.
-pub fn ascending(c: &Contribution) -> Contribution {
-    let mut c = c.clone();
-    c.shadow_pages.sort_by_key(|&(b, _)| b);
-    c.priv_pages.sort_by_key(|&(b, _)| b);
-    c.shadow_lane_starts = vec![0, c.shadow_pages.len()];
-    c.priv_lane_starts = vec![0, c.priv_pages.len()];
-    c
-}
-
-/// How a sharded pipeline's contributions get their lane buckets.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Packaging {
-    /// The worker's tracker bucketed for the merge's lane count.
-    Prebucketed,
-    /// Packaged unbucketed, re-bucketed via [`Contribution::rebucket`].
-    Rebucketed,
-    /// Bucketed for a *different* lane count: the merge must fall back
-    /// to filtering pages on the fly.
-    Mismatched,
-}
-
-/// The engine's coordinator rule: merge every lane to completion, then
-/// the globally-first trap is the minimal (contribution index, byte
-/// address) key across lanes.
-pub fn sharded_merge_round(
-    contribs: &[Contribution],
-    lanes: usize,
-    committed: &AddressSpace,
-) -> Result<Vec<CheckpointMerge>, Trap> {
-    let mut merges = Vec::new();
-    let mut first: Option<((usize, u64), LaneTrap)> = None;
-    for lane in 0..lanes {
-        let mut merge = CheckpointMerge::new(0);
-        if let Err((idx, lt)) = merge_lane(&mut merge, contribs, lane, lanes, committed) {
-            let key = (idx, lt.addr);
-            if first.as_ref().is_none_or(|(k, _)| key < *k) {
-                first = Some((key, lt));
-            }
-        }
-        merges.push(merge);
-    }
-    match first {
-        Some((_, lt)) => Err(lt.trap),
-        None => Ok(merges),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,21 +185,5 @@ mod tests {
             assert_eq!(sorted, (0..7).collect::<Vec<_>>());
         }
         assert_ne!(shuffled_order(7, 1), shuffled_order(7, 2));
-    }
-
-    #[test]
-    fn ascending_canonicalizes_buckets() {
-        let mut w = TraceWorker::fresh(0, 4);
-        w.rt.begin_iteration(0, 0).unwrap();
-        let base = Heap::Private.base() + 0x4000;
-        for off in [0x3000u64, 0x10, 0x1002] {
-            w.rt.private_write(base + off, 8, &mut w.mem).unwrap();
-            w.mem.fill(base + off, 8, 7);
-        }
-        let c = w.tracker.collect(0, 0, &mut w.mem, &[], vec![]);
-        let a = ascending(&c);
-        assert_eq!(a.shadow_lane_starts, vec![0, a.shadow_pages.len()]);
-        assert!(a.shadow_pages.windows(2).all(|p| p[0].0 < p[1].0));
-        assert!(a.priv_pages.windows(2).all(|p| p[0].0 < p[1].0));
     }
 }

@@ -25,27 +25,11 @@
 //! (`HashMap`/`HashSet`) merge; the proptest suite enforces observational
 //! equivalence between the two, and the criterion benches measure the gap.
 //!
-//! # Sharded (multi-lane) merging
-//!
-//! Phase-2 validation is *per-byte*: the outcome for a byte depends only
-//! on that byte's shadow history across the contributions and on the
-//! committed metadata at the same address — never on a neighbouring
-//! byte's. Pages are therefore independent, and the merge can be sharded
-//! by page index across merge lanes (`lane = page_index % lanes`,
-//! [`lane_of`]) with each lane merging its disjoint page set over *all*
-//! contributions in the canonical order. [`Contribution`]s are packaged
-//! pre-bucketed by lane ([`DeltaTracker`] sorts pages by `(lane, base)`
-//! and records the bucket boundaries) so the engine never re-scans pages,
-//! and [`CheckpointMerge::add_sharded`] merges exactly one lane's bucket.
-//!
-//! Determinism of traps: within one contribution the serial merge scans
-//! bytes in ascending address order, so its first trap is the trap with
-//! the minimal `(contribution index, byte address)` key. Each lane
-//! reports its own first trap with that key ([`LaneTrap`]), and the
-//! coordinator takes the minimum over lanes — byte-identical to the
-//! serial merge's trap, regardless of lane count or scheduling. Deferred
-//! I/O and reduction images are *not* sharded; the engine strips and
-//! folds them centrally in worker order.
+//! Phase 2 is one ordered merge per checkpoint (§5.2): the engine feeds
+//! a period's contributions, sorted by worker, through
+//! [`CheckpointMerge::add`] and applies the result with
+//! [`CheckpointMerge::commit`]. Within a contribution bytes are scanned
+//! in ascending address order, so the first trap is deterministic.
 
 use crate::shadow;
 use privateer_ir::inst::SHADOW_BIT;
@@ -56,11 +40,6 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One page of a contribution: `(base address, page data)`.
-type PageEntry = (u64, Arc<Page>);
-/// An owned list of contribution pages.
-type PageList = Vec<PageEntry>;
-
 /// One worker's speculative state for one checkpoint period.
 #[derive(Debug, Clone)]
 pub struct Contribution {
@@ -68,106 +47,22 @@ pub struct Contribution {
     pub worker: usize,
     /// Checkpoint period index.
     pub period: u64,
-    /// The worker's shadow-heap pages (its phase-1 metadata), sorted by
-    /// `(merge lane, base)` — see [`Self::shadow_lane_starts`].
+    /// The worker's shadow-heap pages (its phase-1 metadata), in
+    /// ascending base order.
     pub shadow_pages: Vec<(u64, Arc<Page>)>,
-    /// The worker's private-heap pages (speculative data values), sorted
-    /// by `(merge lane, base)` — see [`Self::priv_lane_starts`].
+    /// The worker's private-heap pages (speculative data values), in
+    /// ascending base order.
     pub priv_pages: Vec<(u64, Arc<Page>)>,
-    /// Bucket boundaries into [`Self::shadow_pages`]: lane `l` owns
-    /// `shadow_pages[shadow_lane_starts[l]..shadow_lane_starts[l + 1]]`.
-    /// Length is `lanes + 1`; `[0, len]` for an unsharded contribution.
-    pub shadow_lane_starts: Vec<usize>,
-    /// Bucket boundaries into [`Self::priv_pages`] (same scheme as
-    /// [`Self::shadow_lane_starts`]).
-    pub priv_lane_starts: Vec<usize>,
     /// The worker's cumulative image of each registered reduction object.
     pub redux_images: Vec<Vec<u8>>,
     /// Deferred output, `(iteration, bytes)`.
     pub io: Vec<(i64, Vec<u8>)>,
 }
 
-/// The merge lane owning a page: `page_index % lanes` on the *data* page
-/// (a shadow base maps to the lane of its paired private page, so a
-/// shadow page and its value page always land in the same lane).
-pub fn lane_of(page_base: u64, lanes: usize) -> usize {
-    if lanes <= 1 {
-        return 0;
-    }
-    (((page_base & !SHADOW_BIT) / PAGE_SIZE) % lanes as u64) as usize
-}
-
-/// Sort `pages` by `(lane, base)` and return the per-lane bucket starts
-/// (length `lanes + 1`). Order *within* a lane is the input order, which
-/// for pages out of `AddressSpace::pages_in_range` is ascending base —
-/// the canonical scan order the trap-determinism argument relies on.
-fn bucket_pages(pages: Vec<(u64, Arc<Page>)>, lanes: usize) -> (Vec<(u64, Arc<Page>)>, Vec<usize>) {
-    if lanes <= 1 {
-        let starts = vec![0, pages.len()];
-        return (pages, starts);
-    }
-    let mut buckets: Vec<Vec<(u64, Arc<Page>)>> = (0..lanes).map(|_| Vec::new()).collect();
-    for (base, page) in pages {
-        buckets[lane_of(base, lanes)].push((base, page));
-    }
-    let mut out = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
-    let mut starts = Vec::with_capacity(lanes + 1);
-    starts.push(0);
-    for mut b in buckets {
-        out.append(&mut b);
-        starts.push(out.len());
-    }
-    (out, starts)
-}
-
-fn lane_slice<'a>(
-    pages: &'a [(u64, Arc<Page>)],
-    starts: &[usize],
-    lane: usize,
-) -> &'a [(u64, Arc<Page>)] {
-    if starts.len() < 2 {
-        // Hand-built contribution with no bucket table: lane 0 owns
-        // everything.
-        return if lane == 0 { pages } else { &[] };
-    }
-    if lane + 1 >= starts.len() {
-        return &[];
-    }
-    &pages[starts[lane]..starts[lane + 1]]
-}
-
 impl Contribution {
-    /// The number of merge lanes this contribution was bucketed for
-    /// (1 when no bucket table was recorded).
-    pub fn lanes(&self) -> usize {
-        self.shadow_lane_starts.len().saturating_sub(1).max(1)
-    }
-
-    /// The shadow pages owned by `lane` (of [`Self::lanes`] lanes).
-    pub fn shadow_lane(&self, lane: usize) -> &[(u64, Arc<Page>)] {
-        lane_slice(&self.shadow_pages, &self.shadow_lane_starts, lane)
-    }
-
-    /// The private pages owned by `lane` (of [`Self::lanes`] lanes).
-    pub fn priv_lane(&self, lane: usize) -> &[(u64, Arc<Page>)] {
-        lane_slice(&self.priv_pages, &self.priv_lane_starts, lane)
-    }
-
     /// Total pages shipped (shadow + private).
     pub fn page_count(&self) -> usize {
         self.shadow_pages.len() + self.priv_pages.len()
-    }
-
-    /// Re-bucket for a different lane count (used by tests and by callers
-    /// holding contributions packaged for another configuration).
-    pub fn rebucket(mut self, lanes: usize) -> Contribution {
-        let (shadow, sstarts) = bucket_pages(std::mem::take(&mut self.shadow_pages), lanes);
-        let (privs, pstarts) = bucket_pages(std::mem::take(&mut self.priv_pages), lanes);
-        self.shadow_pages = shadow;
-        self.shadow_lane_starts = sstarts;
-        self.priv_pages = privs;
-        self.priv_lane_starts = pstarts;
-        self
     }
 }
 
@@ -199,17 +94,11 @@ pub fn collect_contribution(
     let priv_hi = priv_lo + crate::heaps::HEAP_SPAN;
     let shadow_lo = priv_lo | SHADOW_BIT;
     let shadow_hi = priv_hi | SHADOW_BIT;
-    let shadow_pages = mem.pages_in_range(shadow_lo, shadow_hi);
-    let priv_pages = mem.pages_in_range(priv_lo, priv_hi);
-    let shadow_lane_starts = vec![0, shadow_pages.len()];
-    let priv_lane_starts = vec![0, priv_pages.len()];
     Contribution {
         worker,
         period,
-        shadow_pages,
-        priv_pages,
-        shadow_lane_starts,
-        priv_lane_starts,
+        shadow_pages: mem.pages_in_range(shadow_lo, shadow_hi),
+        priv_pages: mem.pages_in_range(priv_lo, priv_hi),
         redux_images: redux_images(mem, redux),
         io,
     }
@@ -225,39 +114,19 @@ pub fn collect_contribution(
 /// phase-2 merge skips wholesale, and the merge reads a private page's
 /// bytes only at addresses whose shadow byte carries a current-period
 /// timestamp — which only shipped (changed) shadow pages can contain.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DeltaTracker {
     shadow_snap: HashMap<u64, Arc<Page>>,
-    lanes: usize,
-}
-
-impl Default for DeltaTracker {
-    fn default() -> DeltaTracker {
-        DeltaTracker::new()
-    }
 }
 
 impl DeltaTracker {
     /// Fresh tracker whose first contribution ships every materialized
     /// page (there is no previous contribution to delta against).
-    /// Contributions are bucketed for a single merge lane; use
-    /// [`Self::with_lanes`] to pre-bucket for a sharded merge.
     pub fn new() -> DeltaTracker {
-        DeltaTracker::with_lanes(1)
+        DeltaTracker::default()
     }
 
-    /// Fresh tracker whose contributions are packaged pre-bucketed for
-    /// `lanes` merge lanes (pages sorted by `(lane, base)` with the
-    /// bucket table filled in), so the merge side never re-scans pages.
-    pub fn with_lanes(lanes: usize) -> DeltaTracker {
-        DeltaTracker {
-            shadow_snap: HashMap::new(),
-            lanes: lanes.max(1),
-        }
-    }
-
-    /// Tracker seeded from a worker's address space at fork time,
-    /// bucketing contributions for `lanes` merge lanes.
+    /// Tracker seeded from a worker's address space at fork time.
     ///
     /// Committed shadow pages carry only live-in/old-write marks (commit
     /// and normalization never leave anything else behind), so a page
@@ -266,7 +135,7 @@ impl DeltaTracker {
     /// contribution of a span then ships only pages dirtied *in* the
     /// span, not the whole committed footprint inherited from earlier
     /// spans.
-    pub fn seeded(mem: &AddressSpace, lanes: usize) -> DeltaTracker {
+    pub fn seeded(mem: &AddressSpace) -> DeltaTracker {
         let shadow_lo = Heap::Private.base() | SHADOW_BIT;
         let shadow_hi = shadow_lo + crate::heaps::HEAP_SPAN;
         DeltaTracker {
@@ -274,7 +143,6 @@ impl DeltaTracker {
                 .pages_in_range(shadow_lo, shadow_hi)
                 .into_iter()
                 .collect(),
-            lanes: lanes.max(1),
         }
     }
 
@@ -341,15 +209,11 @@ impl DeltaTracker {
                 mem.page_arc(pbase).map(|p| (pbase, p))
             })
             .collect();
-        let (shadow_pages, shadow_lane_starts) = bucket_pages(shadow_pages, self.lanes);
-        let (priv_pages, priv_lane_starts) = bucket_pages(priv_pages, self.lanes);
         let contrib = Contribution {
             worker,
             period,
             shadow_pages,
             priv_pages,
-            shadow_lane_starts,
-            priv_lane_starts,
             redux_images: redux_images(mem, redux),
             io,
         };
@@ -451,76 +315,12 @@ impl CheckpointMerge {
     /// Traps with a privacy misspeculation on a cross-worker
     /// read-of-earlier-write or the conservative read/write conflict.
     pub fn add(&mut self, contrib: Contribution, committed: &AddressSpace) -> Result<(), Trap> {
-        self.add_sharded(&contrib, 0, 1, committed)
-            .map_err(|lt| lt.trap)?;
-        for (i, img) in contrib.redux_images.into_iter().enumerate() {
-            self.redux_images[i].push(img);
-        }
-        self.io.extend(contrib.io);
-        Ok(())
-    }
-
-    /// Merge the pages of one lane of a contribution (`lane` of `lanes`,
-    /// page ownership per [`lane_of`]), validating privacy against the
-    /// committed metadata in `committed`.
-    ///
-    /// This is the sharded-merge primitive: with `lanes` merge states each
-    /// fed every contribution for its own lane, the union of the states
-    /// commits byte-identically to a single serial merge, and the
-    /// minimal-key [`LaneTrap`] across lanes reproduces the serial
-    /// merge's trap exactly (see the module docs). With `lanes == 1` the
-    /// whole contribution merges regardless of how it was bucketed.
-    ///
-    /// Reduction images and deferred I/O are intentionally *not* folded
-    /// in here — they are per-contribution, not per-page, and the caller
-    /// folds them once, centrally.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lane's first trap in canonical (ascending-address)
-    /// order, tagged with the trapping byte so a coordinator can pick the
-    /// globally-first trap across lanes.
-    pub fn add_sharded(
-        &mut self,
-        contrib: &Contribution,
-        lane: usize,
-        lanes: usize,
-        committed: &AddressSpace,
-    ) -> Result<(), LaneTrap> {
-        let filtered: (PageList, PageList);
-        let (shadow, privs): (&[PageEntry], &[PageEntry]) = if lanes <= 1 && contrib.lanes() <= 1 {
-            // Canonical single-bucket packaging: already in ascending
-            // base order, scan it whole.
-            (&contrib.shadow_pages, &contrib.priv_pages)
-        } else if contrib.lanes() == lanes {
-            (contrib.shadow_lane(lane), contrib.priv_lane(lane))
-        } else {
-            // Bucketing mismatch (e.g. a contribution packaged for a
-            // different lane count): filter on the fly. The filtered
-            // pages must be re-sorted to ascending base order — a
-            // foreign bucketing is sorted by (its lane, base), and the
-            // canonical first-trap key (see [`LaneTrap`]) requires each
-            // lane to scan its bytes in ascending address order.
-            let mut shadow_f: Vec<(u64, Arc<Page>)> = contrib
-                .shadow_pages
-                .iter()
-                .filter(|(b, _)| lane_of(*b, lanes) == lane)
-                .cloned()
-                .collect();
-            shadow_f.sort_by_key(|&(b, _)| b);
-            let mut priv_f: Vec<(u64, Arc<Page>)> = contrib
-                .priv_pages
-                .iter()
-                .filter(|(b, _)| lane_of(*b, lanes) == lane)
-                .cloned()
-                .collect();
-            priv_f.sort_by_key(|&(b, _)| b);
-            filtered = (shadow_f, priv_f);
-            (&filtered.0, &filtered.1)
-        };
-        let priv_lookup: HashMap<u64, &Arc<Page>> =
-            privs.iter().map(|(base, p)| (*base, p)).collect();
-        for (sbase, spage) in shadow {
+        let priv_lookup: HashMap<u64, &Arc<Page>> = contrib
+            .priv_pages
+            .iter()
+            .map(|(base, p)| (*base, p))
+            .collect();
+        for (sbase, spage) in &contrib.shadow_pages {
             let pbase = *sbase & !SHADOW_BIT;
             // Word-granular skip: untouched runs carry only
             // live-in/old-write metadata, so whole 8-byte words are
@@ -562,6 +362,10 @@ impl CheckpointMerge {
                 )?;
             }
         }
+        for (i, img) in contrib.redux_images.into_iter().enumerate() {
+            self.redux_images[i].push(img);
+        }
+        self.io.extend(contrib.io);
         Ok(())
     }
 
@@ -603,45 +407,8 @@ impl CheckpointMerge {
     }
 }
 
-/// A phase-2 trap annotated with the trapping byte address, the
-/// tie-break key for selecting the globally-first trap across merge
-/// lanes: the serial merge scans bytes in ascending address order within
-/// a contribution, so for a fixed contribution index the minimal address
-/// is the trap the serial merge would have raised.
-#[derive(Debug, Clone)]
-pub struct LaneTrap {
-    /// The byte address the trap fired on.
-    pub addr: u64,
-    /// The trap itself.
-    pub trap: Trap,
-}
-
-/// Merge one lane's pages of every contribution, in order, into `merge`
-/// (the per-lane loop a sharded-merge coordinator runs on each lane,
-/// serially or on a lane thread).
-///
-/// # Errors
-///
-/// Returns the lane's first trap tagged with the index of the trapping
-/// contribution; `(index, trap.addr)` is the canonical key a coordinator
-/// minimizes over lanes to reproduce the serial merge's trap.
-pub fn merge_lane(
-    merge: &mut CheckpointMerge,
-    contribs: &[Contribution],
-    lane: usize,
-    lanes: usize,
-    committed: &AddressSpace,
-) -> Result<(), (usize, LaneTrap)> {
-    for (idx, c) in contribs.iter().enumerate() {
-        merge
-            .add_sharded(c, lane, lanes, committed)
-            .map_err(|lt| (idx, lt))?;
-    }
-    Ok(())
-}
-
 /// Merge one 8-byte shadow word known to contain at least one touched
-/// byte (the per-byte path of [`CheckpointMerge::add_sharded`]).
+/// byte (the per-byte path of [`CheckpointMerge::add`]).
 fn merge_word(
     state: &mut PageState,
     written: &mut usize,
@@ -650,7 +417,7 @@ fn merge_word(
     pbase: u64,
     priv_lookup: &HashMap<u64, &Arc<Page>>,
     committed: &AddressSpace,
-) -> Result<(), LaneTrap> {
+) -> Result<(), Trap> {
     for (bi, &meta) in group.iter().enumerate() {
         if meta <= shadow::OLD_WRITE {
             continue;
@@ -776,15 +543,13 @@ impl ReferenceCheckpointMerge {
                     return Err(privacy(
                         baddr,
                         "read of a value committed by an earlier iteration (stale live-in)",
-                    )
-                    .trap);
+                    ));
                 }
                 if self.written.contains_key(&baddr) {
                     return Err(privacy(
                         baddr,
                         "cross-worker read/write conflict on a live-in byte (conservative)",
-                    )
-                    .trap);
+                    ));
                 }
                 self.read_live_in.insert(baddr);
             } else {
@@ -792,8 +557,7 @@ impl ReferenceCheckpointMerge {
                     return Err(privacy(
                         baddr,
                         "cross-worker read/write conflict on a live-in byte (conservative)",
-                    )
-                    .trap);
+                    ));
                 }
                 let value = priv_lookup
                     .get(&(baddr & !(PAGE_SIZE - 1)))
@@ -842,11 +606,8 @@ impl ReferenceCheckpointMerge {
     }
 }
 
-fn privacy(addr: u64, why: &str) -> LaneTrap {
-    LaneTrap {
-        addr,
-        trap: Trap::misspec(MisspecKind::Privacy, format!("{why} (byte {addr:#x})")),
-    }
+fn privacy(addr: u64, why: &str) -> Trap {
+    Trap::misspec(MisspecKind::Privacy, format!("{why} (byte {addr:#x})"))
 }
 
 #[cfg(test)]
@@ -1016,8 +777,6 @@ mod tests {
             period: 0,
             shadow_pages: vec![],
             priv_pages: vec![],
-            shadow_lane_starts: vec![0, 0],
-            priv_lane_starts: vec![0, 0],
             redux_images: vec![],
             io,
         };

@@ -11,9 +11,7 @@
 //! recovery from the last valid checkpoint, and resumes parallel
 //! execution.
 
-use crate::checkpoint::{
-    self, CheckpointMerge, Contribution, DeltaTracker, LaneTrap, ReferenceCheckpointMerge,
-};
+use crate::checkpoint::{CheckpointMerge, Contribution, DeltaTracker, ReferenceCheckpointMerge};
 use crate::heaps::SharedHeaps;
 use crate::model::{self, SimCost};
 use crate::schedule::{SchedPoint, VirtualScheduler};
@@ -23,7 +21,7 @@ use privateer_ir::inst::SHADOW_BIT;
 use privateer_ir::{FuncId, Heap, InstId, Module, PlanEntry, ReduxOp};
 use privateer_telemetry::{
     clock, Counter, Histogram, MetricsRegistry, Phase, SpanEvent, Stamped, Telemetry, TraceData,
-    WorkerTelemetry, ENGINE_TRACK, MERGE_LANE_TRACK_BASE,
+    WorkerTelemetry, ENGINE_TRACK,
 };
 use privateer_vm::interp::{Interp, ProgramImage};
 use privateer_vm::{AddressSpace, MisspecKind, NopHooks, RuntimeIface, Trap, Val};
@@ -40,17 +38,6 @@ pub struct EngineConfig {
     /// Checkpoint period in iterations (clamped to the 253-iteration
     /// metadata bound).
     pub checkpoint_period: u64,
-    /// Merge lanes for the sharded phase-2 checkpoint merge: each
-    /// period's contributions are bucketed by page index
-    /// (`checkpoint::lane_of`) and the buckets merge concurrently on a
-    /// persistent lane pool, followed by a short ordered commit. `1`
-    /// (or `0`) merges inline on the engine thread, exactly as before
-    /// the pool existed; and with any lane count, a period whose page
-    /// distribution is too small or too skewed to amortize the lane
-    /// fan-out merges inline too ([`model::sharding_profitable`]).
-    /// Commits, traps and I/O order are byte-identical for every lane
-    /// count.
-    pub merge_lanes: usize,
     /// Injected misspeculation rate per iteration (the §6.3 experiment).
     pub inject_rate: f64,
     /// Seed for deterministic injection.
@@ -62,11 +49,9 @@ pub struct EngineConfig {
     pub inject_merge_fault: Option<u64>,
     /// Differential-testing mode: merge every period with the simple
     /// per-address [`ReferenceCheckpointMerge`] instead of the dense
-    /// fast path (inline, never sharded, regardless of
-    /// [`Self::merge_lanes`] or the adaptive policy). Commits, traps and
-    /// I/O must be byte-identical to the fast path at any lane count —
-    /// the `privfuzz` oracle pits the two against each other inside the
-    /// full engine.
+    /// fast path [`CheckpointMerge`]. Commits, traps and I/O must be
+    /// byte-identical to the fast path — the `privfuzz` oracle pits the
+    /// two against each other inside the full engine.
     pub reference_merge: bool,
 }
 
@@ -75,7 +60,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
             checkpoint_period: 64,
-            merge_lanes: 4,
             inject_rate: 0.0,
             inject_seed: 0x5eed,
             inject_merge_fault: None,
@@ -182,14 +166,6 @@ pub struct EngineStats {
     /// moment the squash is known instead of being pinned in the pending
     /// map until the span's workers join.
     pub squashed_pages_dropped: u64,
-    /// Simulated cycles of the phase-2 merge term alone (the merge part
-    /// of [`Self::sim`]`.checkpoint`; packaging excluded). With
-    /// `merge_lanes > 1`, periods the adaptive policy elects to shard
-    /// (see [`model::sharding_profitable`]) use the sharded formula —
-    /// lane dispatch plus the slowest lane — so comparing runs at
-    /// different lane counts isolates what sharding buys (see
-    /// [`crate::model`]).
-    pub merge_sim_cycles: u64,
     /// Host-independent simulated-cycle accounting (see
     /// [`crate::model`]).
     pub sim: SimCost,
@@ -294,111 +270,42 @@ fn push_event(tel: &Telemetry, events: &mut Vec<Stamped<EngineEvent>>, event: En
     events.push(tel.stamp(event));
 }
 
-/// One sharded-merge job: every contribution of one period (side data
-/// already stripped) plus a COW snapshot of the committed address space
-/// for phase-2 lookups. Each lane thread merges its own page bucket.
-struct LaneJob {
-    contribs: Arc<Vec<Contribution>>,
-    committed: Arc<AddressSpace>,
-    lanes: usize,
-    period: u64,
-    sched: Option<Arc<VirtualScheduler>>,
+/// The phase-2 merge state of one period: the dense fast path, or the
+/// per-address reference merge in differential mode
+/// ([`EngineConfig::reference_merge`]). Both take the same add → commit
+/// sequence.
+enum PeriodMerge {
+    Fast(CheckpointMerge),
+    Reference(ReferenceCheckpointMerge),
 }
 
-/// One lane's merge result: the lane-local merge state (committed in
-/// lane order on success), the lane's first trap in canonical order (if
-/// any), and the span timing for the lane's telemetry track.
-struct LaneDone {
-    lane: usize,
-    merge: CheckpointMerge,
-    trap: Option<(usize, LaneTrap)>,
-    pages: u64,
-    ts_ns: u64,
-    dur_ns: u64,
-}
-
-/// A persistent pool of merge-lane threads, one per lane, reused across
-/// periods and spans (spawning threads per period would eat the win on
-/// small merges). Each lane has its own job channel; results funnel into
-/// one shared channel the engine drains, `lanes` results per period.
-#[derive(Debug)]
-struct MergePool {
-    lanes: usize,
-    txs: Vec<mpsc::Sender<LaneJob>>,
-    rx: mpsc::Receiver<LaneDone>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl MergePool {
-    fn new(lanes: usize) -> MergePool {
-        let (done_tx, rx) = mpsc::channel::<LaneDone>();
-        let mut txs = Vec::with_capacity(lanes);
-        let mut handles = Vec::with_capacity(lanes);
-        for lane in 0..lanes {
-            let (tx, jobs) = mpsc::channel::<LaneJob>();
-            let done = done_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("merge-lane-{lane}"))
-                .spawn(move || {
-                    for job in jobs.iter() {
-                        let t0 = Instant::now();
-                        let mut merge = CheckpointMerge::new(0);
-                        let trap = checkpoint::merge_lane(
-                            &mut merge,
-                            &job.contribs,
-                            lane,
-                            job.lanes,
-                            &job.committed,
-                        )
-                        .err();
-                        let pages: u64 = job
-                            .contribs
-                            .iter()
-                            .map(|c| (c.shadow_lane(lane).len() + c.priv_lane(lane).len()) as u64)
-                            .sum();
-                        let out = LaneDone {
-                            lane,
-                            merge,
-                            trap,
-                            pages,
-                            ts_ns: clock::instant_ns(t0),
-                            dur_ns: t0.elapsed().as_nanos() as u64,
-                        };
-                        // Under a virtual scheduler, lane-result arrival
-                        // order is scriptable too (the engine collects
-                        // `lanes` results per period in whatever order
-                        // they land).
-                        let gate = SchedPoint::MergeLane {
-                            lane,
-                            period: job.period,
-                        };
-                        let closed = match &job.sched {
-                            Some(s) => s.run(gate, || done.send(out).is_err()),
-                            None => done.send(out).is_err(),
-                        };
-                        if closed {
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn merge-lane thread");
-            txs.push(tx);
-            handles.push(handle);
-        }
-        MergePool {
-            lanes,
-            txs,
-            rx,
-            handles,
+impl PeriodMerge {
+    fn add(&mut self, contrib: Contribution, committed: &AddressSpace) -> Result<(), Trap> {
+        match self {
+            PeriodMerge::Fast(m) => m.add(contrib, committed),
+            PeriodMerge::Reference(m) => m.add(contrib, committed),
         }
     }
-}
 
-impl Drop for MergePool {
-    fn drop(&mut self) {
-        self.txs.clear(); // closing the job channels ends the lane loops
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+    fn written_bytes(&self) -> usize {
+        match self {
+            PeriodMerge::Fast(m) => m.written_bytes(),
+            PeriodMerge::Reference(m) => m.written_bytes(),
+        }
+    }
+
+    /// Reduction images per object, one per contribution in merge order.
+    fn redux_images(&self) -> &[Vec<Vec<u8>>] {
+        match self {
+            PeriodMerge::Fast(m) => &m.redux_images,
+            PeriodMerge::Reference(m) => &m.redux_images,
+        }
+    }
+
+    fn commit(self, mem: &mut AddressSpace) -> Vec<(i64, Vec<u8>)> {
+        match self {
+            PeriodMerge::Fast(m) => m.commit(mem),
+            PeriodMerge::Reference(m) => m.commit(mem),
         }
     }
 }
@@ -447,7 +354,6 @@ pub struct MainRuntime {
     redux: Vec<(ReduxOp, u64, u64)>,
     out: Vec<u8>,
     inject_phase2: Option<u64>,
-    pool: Option<MergePool>,
     sched: Option<Arc<VirtualScheduler>>,
 }
 
@@ -472,16 +378,7 @@ impl MainRuntime {
             redux: Vec::new(),
             out: Vec::new(),
             inject_phase2: None,
-            pool: None,
             sched: None,
-        }
-    }
-
-    /// Lazily (re)build the merge-lane pool for the configured lane
-    /// count. The pool persists across periods and spans.
-    fn ensure_pool(&mut self, lanes: usize) {
-        if self.pool.as_ref().is_none_or(|p| p.lanes != lanes) {
-            self.pool = Some(MergePool::new(lanes));
         }
     }
 
@@ -500,8 +397,7 @@ impl MainRuntime {
     }
 
     /// Attach a [`VirtualScheduler`]: worker iterations, contribution
-    /// sends, misspeculation publications and merge-lane results then
-    /// rendezvous on the scheduler's script, making a chosen interleaving
+    /// sends and misspeculation publications then rendezvous on the scheduler's script, making a chosen interleaving
     /// deterministic and replayable (see [`crate::schedule`]). The
     /// scheduler applies to every subsequent invocation until replaced.
     pub fn set_schedule(&mut self, sched: Arc<VirtualScheduler>) {
@@ -533,10 +429,6 @@ impl MainRuntime {
     ) -> Result<SpanOutcome, Trap> {
         let w_count = self.cfg.workers.max(1);
         let k = self.cfg.checkpoint_period.clamp(1, MAX_PERIOD) as i64;
-        let lanes = self.cfg.merge_lanes.max(1);
-        if lanes > 1 {
-            self.ensure_pool(lanes);
-        }
         let span_t0 = Instant::now();
 
         // Fresh live-in metadata for this span.
@@ -725,153 +617,18 @@ impl MainRuntime {
                     let n_contribs = contribs.len() as i64;
                     let contrib_pages_in_merge: u64 =
                         contribs.iter().map(|c| c.page_count() as u64).sum();
-                    // Strip the per-contribution side data up front:
-                    // deferred I/O and reduction images are never sharded
-                    // — the engine folds them centrally, in worker order.
-                    let mut period_io: Vec<(i64, Vec<u8>)> = Vec::new();
-                    let mut period_images: Vec<Vec<Vec<u8>>> = vec![Vec::new(); redux.len()];
-                    for c in &mut contribs {
-                        period_io.append(&mut c.io);
-                        for (i, img) in c.redux_images.drain(..).enumerate() {
-                            period_images[i].push(img);
-                        }
-                    }
                     let mut failed = (cfg.inject_merge_fault == Some(next_commit))
                         .then(|| Trap::Internal("injected merge fault".into()));
-                    let mut lane_merges: Vec<CheckpointMerge> = Vec::new();
-                    let mut ref_merge: Option<ReferenceCheckpointMerge> = None;
-                    let mut merge_cost = 0u64;
-                    if failed.is_none() && cfg.reference_merge {
-                        // Differential mode: the simple per-address
-                        // reference merge, inline, never sharded. Pages
-                        // are re-sorted into ascending order first so
-                        // trap selection scans bytes in the same
-                        // canonical order as the fast path does at any
-                        // lane count.
-                        let mut rm = ReferenceCheckpointMerge::new(0);
-                        for c in &contribs {
-                            if let Err(t) = rm.add(ascending_pages(c), mem) {
-                                failed = Some(t);
-                                break;
-                            }
-                        }
-                        merge_cost = rm.written_bytes() as u64 * model::MERGE_BYTE
-                            + contrib_pages_in_merge * model::MERGE_PAGE;
-                        if tel.is_tracing() {
-                            tel.record(SpanEvent {
-                                ts_ns: clock::instant_ns(t0),
-                                dur_ns: (t0.elapsed().as_nanos() as u64).max(1),
-                                phase: Phase::MergeLane,
-                                track: MERGE_LANE_TRACK_BASE,
-                                a: next_commit as i64,
-                                b: contrib_pages_in_merge as i64,
-                            });
-                        }
-                        ref_merge = Some(rm);
-                    } else if failed.is_none() {
-                        // Adaptive sharding: estimate both merge formulas
-                        // from the per-lane page distribution (read off
-                        // the contributions' bucket tables) and merge
-                        // inline unless the shard is predicted to win —
-                        // small or skewed periods lose to the lane
-                        // fan-out (`model::sharding_profitable`).
-                        // Commits, traps and I/O are byte-identical
-                        // either way.
-                        let mut lane_pages = vec![0u64; lanes];
-                        for c in &contribs {
-                            if c.lanes() == lanes {
-                                for (l, lp) in lane_pages.iter_mut().enumerate() {
-                                    *lp += (c.shadow_lane(l).len() + c.priv_lane(l).len()) as u64;
-                                }
-                            } else {
-                                for (b, _) in c.shadow_pages.iter().chain(c.priv_pages.iter()) {
-                                    lane_pages[checkpoint::lane_of(*b, lanes)] += 1;
-                                }
-                            }
-                        }
-                        if !model::sharding_profitable(&lane_pages) {
-                            // Inline single-lane merge on the engine
-                            // thread, exactly the pre-pool behavior.
-                            let mut merge = CheckpointMerge::new(0);
-                            if let Err((_, lt)) =
-                                checkpoint::merge_lane(&mut merge, &contribs, 0, 1, mem)
-                            {
-                                failed = Some(lt.trap);
-                            }
-                            merge_cost = merge.written_bytes() as u64 * model::MERGE_BYTE
-                                + contrib_pages_in_merge * model::MERGE_PAGE;
-                            if tel.is_tracing() {
-                                tel.record(SpanEvent {
-                                    ts_ns: clock::instant_ns(t0),
-                                    dur_ns: (t0.elapsed().as_nanos() as u64).max(1),
-                                    phase: Phase::MergeLane,
-                                    track: MERGE_LANE_TRACK_BASE,
-                                    a: next_commit as i64,
-                                    b: contrib_pages_in_merge as i64,
-                                });
-                            }
-                            lane_merges.push(merge);
-                        } else {
-                            // Sharded merge: fan the period out to the
-                            // lane pool against a COW snapshot of the
-                            // committed space, then fan the lane states
-                            // back in.
-                            let shared = Arc::new(std::mem::take(&mut contribs));
-                            let committed = Arc::new(mem.fork());
-                            let pool = self.pool.as_ref().expect("pool ensured for lanes > 1");
-                            for lane_tx in &pool.txs {
-                                lane_tx
-                                    .send(LaneJob {
-                                        contribs: Arc::clone(&shared),
-                                        committed: Arc::clone(&committed),
-                                        lanes,
-                                        period: next_commit,
-                                        sched: sched.clone(),
-                                    })
-                                    .expect("merge-lane thread alive");
-                            }
-                            let mut dones: Vec<LaneDone> = (0..lanes)
-                                .map(|_| pool.rx.recv().expect("merge-lane result"))
-                                .collect();
-                            dones.sort_by_key(|d| d.lane);
-                            // The globally-first trap is the minimal
-                            // (contribution index, byte address) over the
-                            // lanes' first traps — byte-identical to the
-                            // serial merge's trap (see checkpoint docs).
-                            let first = dones
-                                .iter()
-                                .enumerate()
-                                .filter_map(|(i, d)| {
-                                    d.trap.as_ref().map(|(ci, lt)| ((*ci, lt.addr), i))
-                                })
-                                .min()
-                                .map(|(_, i)| i);
-                            if let Some(i) = first {
-                                let (_, lt) = dones[i].trap.take().expect("selected above");
-                                failed = Some(lt.trap);
-                            }
-                            // Lanes overlap: dispatch fan-out plus the
-                            // slowest lane bound the simulated merge.
-                            let mut max_lane = 0u64;
-                            for d in &dones {
-                                max_lane = max_lane.max(
-                                    d.merge.written_bytes() as u64 * model::MERGE_BYTE
-                                        + d.pages * model::MERGE_PAGE,
-                                );
-                                if tel.is_tracing() {
-                                    tel.record(SpanEvent {
-                                        ts_ns: d.ts_ns,
-                                        dur_ns: d.dur_ns.max(1),
-                                        phase: Phase::MergeLane,
-                                        track: MERGE_LANE_TRACK_BASE + d.lane as u32,
-                                        a: next_commit as i64,
-                                        b: d.pages as i64,
-                                    });
-                                }
-                            }
-                            merge_cost = model::MERGE_LANE_DISPATCH * lanes as u64 + max_lane;
-                            lane_merges = dones.into_iter().map(|d| d.merge).collect();
-                        }
+                    let mut merge = if cfg.reference_merge {
+                        PeriodMerge::Reference(ReferenceCheckpointMerge::new(redux.len()))
+                    } else {
+                        PeriodMerge::Fast(CheckpointMerge::new(redux.len()))
+                    };
+                    if failed.is_none() {
+                        failed = contribs
+                            .into_iter()
+                            .try_for_each(|c| merge.add(c, mem))
+                            .err();
                     }
                     if failed.is_none() && self.inject_phase2 == Some(next_commit) {
                         self.inject_phase2 = None;
@@ -924,29 +681,21 @@ impl MainRuntime {
                             }
                         }
                         None => {
-                            merge_sim += merge_cost;
+                            merge_sim += merge.written_bytes() as u64 * model::MERGE_BYTE
+                                + contrib_pages_in_merge * model::MERGE_PAGE;
                             let tc = Instant::now();
                             // Commit reductions: pre ⊕ fold(worker images),
                             // folded in worker order.
                             for (i, &(op, addr, _size)) in redux.iter().enumerate() {
                                 let mut acc = pre_redux[i].clone();
-                                for img in &period_images[i] {
+                                for img in &merge.redux_images()[i] {
                                     combine_images(op, &mut acc, img);
                                 }
                                 mem.write_bytes(addr, &acc);
                             }
-                            // Ordered commit: lane states apply in lane
-                            // order (disjoint pages — any order yields
-                            // identical memory), then the period's I/O
+                            // Commit the merged bytes; the period's I/O
                             // retires in iteration order.
-                            for merge in lane_merges {
-                                let _ = merge.commit(mem); // lanes carry no I/O
-                            }
-                            if let Some(rm) = ref_merge.take() {
-                                let _ = rm.commit(mem); // side data was stripped
-                            }
-                            period_io.sort_by_key(|a| a.0);
-                            for (_, bytes) in period_io {
+                            for (_, bytes) in merge.commit(mem) {
                                 self.out.extend(bytes);
                             }
                             if tel.is_tracing() {
@@ -1013,7 +762,6 @@ impl MainRuntime {
         self.stats.sim.total += span_sim;
         self.stats.sim.capacity += span_sim * w_count as u64;
         self.stats.sim.checkpoint += merge_sim;
-        self.stats.merge_sim_cycles += merge_sim;
         outcome
     }
 
@@ -1034,24 +782,17 @@ impl MainRuntime {
             &mut self.events,
             EngineEvent::Recovery { from, through },
         );
-        let rt = RecoveryRuntime {
-            heaps: self.heaps.clone(),
-            out: Vec::new(),
-        };
-        let taken = std::mem::take(mem);
-        let mut interp = Interp::with_mem(module, taken, global_addrs.to_vec(), NopHooks, rt);
-        let mut result = Ok(());
-        for iter in from..=through {
-            if let Err(e) = interp.call_function(recovery, &[Val::Int(iter)]) {
-                result = Err(e);
-                break;
-            }
-        }
-        self.out.extend(std::mem::take(&mut interp.rt.out));
-        let rec_insts = interp.stats.insts;
+        let (result, out, rec_insts) = run_recovery(
+            module,
+            global_addrs,
+            &self.heaps,
+            recovery,
+            from..through + 1,
+            mem,
+        );
+        self.out.extend(out);
         self.stats.sim.total += rec_insts;
         self.stats.sim.recovery += rec_insts;
-        *mem = interp.mem;
         self.stats.recovered_iters += (through - from + 1).max(0) as u64;
         self.metrics
             .recovered_iters
@@ -1074,28 +815,6 @@ impl MainRuntime {
             });
         }
         result
-    }
-}
-
-/// A copy of `c` with its pages in ascending address order in a single
-/// bucket (page `Arc` clones only — no byte copies). The reference merge
-/// scans pages in stored order, so re-canonicalizing makes its trap
-/// selection independent of how many lanes the contribution was
-/// pre-bucketed for.
-fn ascending_pages(c: &Contribution) -> Contribution {
-    let mut shadow_pages = c.shadow_pages.clone();
-    shadow_pages.sort_by_key(|&(b, _)| b);
-    let mut priv_pages = c.priv_pages.clone();
-    priv_pages.sort_by_key(|&(b, _)| b);
-    Contribution {
-        worker: c.worker,
-        period: c.period,
-        shadow_lane_starts: vec![0, shadow_pages.len()],
-        priv_lane_starts: vec![0, priv_pages.len()],
-        shadow_pages,
-        priv_pages,
-        redux_images: Vec::new(),
-        io: Vec::new(),
     }
 }
 
@@ -1145,9 +864,7 @@ fn worker_main(
     let mut rt = WorkerRuntime::new(w, cfg.inject_rate, cfg.inject_seed);
     rt.tel = wtel;
     let mut interp = Interp::with_mem(module, mem, global_addrs.to_vec(), NopHooks, rt);
-    // Package contributions pre-bucketed for the engine's merge lanes so
-    // the merge side never re-scans pages.
-    let mut delta = DeltaTracker::seeded(&interp.mem, cfg.merge_lanes.max(1));
+    let mut delta = DeltaTracker::seeded(&interp.mem);
     let mut period: u64 = 0;
     'periods: loop {
         let pbase = lo + period as i64 * k;
@@ -1388,6 +1105,29 @@ impl RuntimeIface for RecoveryRuntime {
     }
 }
 
+/// Run the recovery body for each iteration of `iters` in order on a
+/// [`RecoveryRuntime`] over `mem`, stopping at the first trap. Returns
+/// the result, the output printed, and the instructions executed.
+fn run_recovery(
+    module: &Module,
+    global_addrs: &[u64],
+    heaps: &SharedHeaps,
+    recovery: FuncId,
+    mut iters: std::ops::Range<i64>,
+    mem: &mut AddressSpace,
+) -> (Result<(), Trap>, Vec<u8>, u64) {
+    let rt = RecoveryRuntime {
+        heaps: heaps.clone(),
+        out: Vec::new(),
+    };
+    let taken = std::mem::take(mem);
+    let mut interp = Interp::with_mem(module, taken, global_addrs.to_vec(), NopHooks, rt);
+    let result =
+        iters.try_for_each(|iter| interp.call_function(recovery, &[Val::Int(iter)]).map(drop));
+    *mem = interp.mem;
+    (result, interp.rt.out, interp.stats.insts)
+}
+
 /// A sequential plan runtime: executes `parallel_invoke` regions one
 /// iteration at a time with the *recovery* body (original semantics). Used
 /// to run transformed programs without the engine — e.g. to validate the
@@ -1469,21 +1209,15 @@ impl RuntimeIface for SequentialPlanRuntime {
         hi: i64,
         mem: &mut AddressSpace,
     ) -> Result<(), Trap> {
-        let rt = RecoveryRuntime {
-            heaps: self.heaps.clone(),
-            out: Vec::new(),
-        };
-        let taken = std::mem::take(mem);
-        let mut interp = Interp::with_mem(module, taken, global_addrs.to_vec(), NopHooks, rt);
-        let mut result = Ok(());
-        for iter in lo..hi {
-            if let Err(e) = interp.call_function(plan.recovery, &[Val::Int(iter)]) {
-                result = Err(e);
-                break;
-            }
-        }
-        self.out.extend(std::mem::take(&mut interp.rt.out));
-        *mem = interp.mem;
+        let (result, out, _) = run_recovery(
+            module,
+            global_addrs,
+            &self.heaps,
+            plan.recovery,
+            lo..hi,
+            mem,
+        );
+        self.out.extend(out);
         result
     }
 }
@@ -1505,8 +1239,6 @@ mod tests {
             period,
             shadow_pages: vec![(0x1000, Arc::clone(&page))],
             priv_pages: vec![(0x1000, Arc::clone(&page))],
-            shadow_lane_starts: vec![0, 1],
-            priv_lane_starts: vec![0, 1],
             redux_images: vec![],
             io: vec![],
         };

@@ -17,7 +17,7 @@
 //!   running iterations round-robin, committing checkpoints in order, and
 //!   recovering sequentially after misspeculation (Figure 5);
 //! * [`schedule`] — [`schedule::VirtualScheduler`], a deterministic
-//!   rendezvous scheduler that turns worker/merge-lane interleavings into
+//!   rendezvous scheduler that turns worker interleavings into
 //!   scripted, replayable data for tests and the `privfuzz` harness.
 
 pub mod checkpoint;

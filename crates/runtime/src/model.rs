@@ -15,24 +15,12 @@
 //!           + dirty_pages·MERGE_PAGE                    (commit, serial)
 //! ```
 //!
-//! With a sharded merge (`EngineConfig::merge_lanes = L > 1`) the serial
-//! commit term is replaced by
-//!
-//! ```text
-//! L·MERGE_LANE_DISPATCH
-//!   + max_l ( bytes_l·MERGE_BYTE + pages_l·MERGE_PAGE )  (slowest lane)
-//! ```
-//!
-//! since the per-lane merges overlap and only the fan-out/fan-in
-//! dispatch plus the slowest lane remain on the critical path. Sharding
-//! is *adaptive* ([`sharding_profitable`]): the engine estimates both
-//! formulas from the per-lane page distribution (free to read off the
-//! contributions' bucket tables) and merges inline unless the shard is
-//! predicted to win. This covers both small periods — where the
-//! `L·MERGE_LANE_DISPATCH` fan-out costs more than the lanes save — and
-//! *skewed* periods, where the dirty pages concentrate on a few page
-//! indices (the paper's alvinn regime: every worker touches the same
-//! small privatized window, so one lane would do all the work anyway).
+//! plus, after a misspeculation, the serial re-execution's instructions.
+//! Whole-program simulated time = the main thread's instructions + Σ span
+//! costs; speedup = sequential instructions / that. The constants below
+//! were chosen so the overhead ratios land in the ranges the paper reports
+//! (validation a few percent, spawn/join significant only for tiny loops);
+//! the *shape* conclusions are insensitive to modest changes.
 //!
 //! Page counts here are *dirty* pages: with delta contributions
 //! (`checkpoint::DeltaTracker`) a worker packages, and the merge scans,
@@ -40,13 +28,6 @@
 //! costs scale with the pages each period actually touches, not with the
 //! worker's cumulative footprint (which made multi-period spans
 //! quadratic in span length before).
-//!
-//! plus, after a misspeculation, the serial re-execution's instructions.
-//! Whole-program simulated time = the main thread's instructions + Σ span
-//! costs; speedup = sequential instructions / that. The constants below
-//! were chosen so the overhead ratios land in the ranges the paper reports
-//! (validation a few percent, spawn/join significant only for tiny loops);
-//! the *shape* conclusions are insensitive to modest changes.
 
 /// Fixed dispatch cost per parallel span (the paper's `fork` latency).
 pub const SPAWN_BASE: u64 = 10_000;
@@ -61,44 +42,6 @@ pub const PACKAGE_PAGE: u64 = 256;
 pub const MERGE_BYTE: u64 = 1;
 /// Cost per contributed (dirty) page scanned during the merge.
 pub const MERGE_PAGE: u64 = 128;
-/// Fixed dispatch/collection cost per merge lane of a *sharded* phase-2
-/// merge (job send, lane wake-up, result receive). With `L > 1` lanes the
-/// modeled merge term becomes
-/// `L·MERGE_LANE_DISPATCH + max_lane(bytes_l·MERGE_BYTE + pages_l·MERGE_PAGE)`
-/// — the lanes overlap, so the slowest lane plus the dispatch fan-out
-/// bounds the merge instead of the serial sum. With one lane the serial
-/// formula applies unchanged (no dispatch cost).
-pub const MERGE_LANE_DISPATCH: u64 = 400;
-
-/// The adaptive sharding policy: given the number of contribution pages
-/// each lane would scan this period, predict whether the sharded merge
-/// beats merging inline on the engine thread.
-///
-/// Both sides are estimated in page-scan cycles — written-byte cost is
-/// unknown before merging, but it concentrates on the same pages the
-/// scan does, so the page distribution is a faithful proxy for the
-/// balance of the real work:
-///
-/// ```text
-/// serial  ≈ Σ_l pages_l · MERGE_PAGE
-/// sharded ≈ L·MERGE_LANE_DISPATCH + max_l pages_l · MERGE_PAGE
-/// ```
-///
-/// Sharding loses in two regimes this test catches together: *small*
-/// periods, where the dispatch fan-out dwarfs the whole merge, and
-/// *skewed* periods, where the dirty pages concentrate on a few page
-/// indices so one lane inherits nearly all the work (every worker
-/// rewriting the same small privatized window does this) and the other
-/// lanes are paid for but idle.
-pub fn sharding_profitable(lane_pages: &[u64]) -> bool {
-    let lanes = lane_pages.len() as u64;
-    if lanes <= 1 {
-        return false;
-    }
-    let total: u64 = lane_pages.iter().sum();
-    let max = lane_pages.iter().copied().max().unwrap_or(0);
-    lanes * MERGE_LANE_DISPATCH + max * MERGE_PAGE < total * MERGE_PAGE
-}
 
 /// Simulated-cycle accounting for one engine (or one invocation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -151,62 +94,6 @@ mod tests {
         let (u, pr, pw, ck, sj) = c.breakdown();
         assert!((u + pr + pw + ck + sj - 1.0).abs() < 1e-9);
         assert!((sj - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sharding_policy_rejects_small_and_skewed_periods() {
-        // Balanced and big enough to amortize dispatch: shard.
-        assert!(sharding_profitable(&[8, 8, 8, 8]));
-        // Too small: 8 pages of scanning never pays for 4 dispatches.
-        assert!(!sharding_profitable(&[2, 2, 2, 2]));
-        // Fully skewed: one lane would do all the work anyway.
-        assert!(!sharding_profitable(&[32, 0, 0, 0]));
-        // Degenerate lane counts never shard.
-        assert!(!sharding_profitable(&[1000]));
-        assert!(!sharding_profitable(&[]));
-        // Break-even arithmetic: savings (total - max)·MERGE_PAGE must
-        // exceed dispatch L·MERGE_LANE_DISPATCH = 1600, i.e. > 12.5
-        // off-max pages at MERGE_PAGE = 128.
-        assert!(!sharding_profitable(&[20, 4, 4, 4])); // saves 12 pages
-        assert!(sharding_profitable(&[20, 5, 5, 4])); // saves 14 pages
-    }
-
-    #[test]
-    fn sharding_policy_boundary_conditions() {
-        // Empty period: every lane idle, nothing to save — never shard
-        // (and never divide by the zero total).
-        assert!(!sharding_profitable(&[0, 0, 0, 0]));
-        assert!(!sharding_profitable(&[0]));
-
-        // More lanes than dirty pages: most lanes are pure dispatch
-        // overhead, whatever the distribution.
-        assert!(!sharding_profitable(&[1, 0, 0, 0, 0, 0, 0, 0]));
-        assert!(!sharding_profitable(&[1, 1, 0, 0, 0, 0, 0, 0]));
-        assert!(!sharding_profitable(&[1, 1, 1, 1, 1, 1, 1, 1]));
-
-        // Single hot page per off-max lane at growing lane counts: the
-        // savings are (lanes-1)·MERGE_PAGE = 128·(L-1) against a
-        // dispatch bill of 400·L — more lanes never rescue a single-hot-
-        // page skew, no matter how hot the hot lane is.
-        for lanes in 2..=16usize {
-            let mut skew = vec![1u64; lanes];
-            skew[0] = 10_000;
-            assert!(
-                !sharding_profitable(&skew),
-                "single-hot-page skew must merge inline at {lanes} lanes"
-            );
-        }
-
-        // Two-lane break-even: savings are min(a, b)·MERGE_PAGE against
-        // 2·MERGE_LANE_DISPATCH = 800, so the smaller lane must carry
-        // more than 6.25 pages.
-        assert!(!sharding_profitable(&[1000, 6]));
-        assert!(sharding_profitable(&[1000, 7]));
-        assert!(sharding_profitable(&[7, 1000]));
-
-        // The policy reads the distribution, not the lane order.
-        assert!(!sharding_profitable(&[4, 4, 20, 4]));
-        assert!(sharding_profitable(&[5, 4, 20, 5]));
     }
 
     #[test]

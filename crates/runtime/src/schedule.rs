@@ -3,7 +3,7 @@
 //! The engine's concurrency bugs live in *orderings*: which worker's
 //! contribution reaches the collection loop first, whether a late
 //! contribution arrives before or after the misspeculation that squashes
-//! its period, which merge lane reports last. On a real machine those
+//! it. On a real machine those
 //! orderings are wall-clock accidents — a test can provoke them only by
 //! spinning and hoping. [`VirtualScheduler`] turns them into data: a
 //! *script* of [`SchedPoint`]s that the engine's threads rendezvous on,
@@ -79,27 +79,15 @@ pub enum SchedPoint {
         /// Worker index.
         worker: usize,
     },
-    /// Merge lane `lane` reports its result for checkpoint `period`.
-    /// Only reached when the adaptive policy actually shards the period
-    /// ([`crate::model::sharding_profitable`]); scripts should list lane
-    /// points only for periods known to shard.
-    MergeLane {
-        /// Merge-lane index.
-        lane: usize,
-        /// Span-relative checkpoint period.
-        period: u64,
-    },
 }
 
 impl SchedPoint {
-    /// The worker that emits this point, if any (lane points are emitted
-    /// by pool threads, which never retire).
-    fn owner_worker(&self) -> Option<usize> {
+    /// The worker that emits this point.
+    fn owner_worker(&self) -> usize {
         match *self {
             SchedPoint::Iter { worker, .. }
             | SchedPoint::Contribute { worker, .. }
-            | SchedPoint::Misspec { worker } => Some(worker),
-            SchedPoint::MergeLane { .. } => None,
+            | SchedPoint::Misspec { worker } => worker,
         }
     }
 }
@@ -116,7 +104,7 @@ struct SchedState {
 }
 
 /// The scheduler handle, shared (via `Arc`) between the test, the engine
-/// and its worker/lane threads. See the [module docs](self) for the
+/// and its worker threads. See the [module docs](self) for the
 /// gating protocol.
 #[derive(Debug)]
 pub struct VirtualScheduler {
@@ -182,8 +170,8 @@ impl VirtualScheduler {
                 // running the closure, so `fired()`/`remaining()` are
                 // up to date the moment the gated effect lands. (The
                 // effect itself can let another thread finish the run —
-                // a lane's result send releases the engine's collection
-                // loop — and a pop-after-run would race the caller's
+                // a worker's last contribution releases the engine's
+                // collection loop — and a pop-after-run would race the caller's
                 // post-run `fired()` read.) `active` stays set until the
                 // closure returns, so the next entry cannot fire early.
                 st.active = true;
@@ -220,7 +208,7 @@ impl VirtualScheduler {
     /// reach cannot block the rest of the script.
     pub fn retire_worker(&self, w: usize) {
         let mut st = self.state.lock().expect("scheduler lock");
-        st.script.retain(|p| p.owner_worker() != Some(w));
+        st.script.retain(|p| p.owner_worker() != w);
         self.cv.notify_all();
     }
 

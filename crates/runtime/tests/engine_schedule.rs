@@ -138,7 +138,6 @@ fn scripted_late_contribution_is_dropped_on_arrival() {
         EngineConfig {
             workers: 2,
             checkpoint_period: 4,
-            merge_lanes: 1,
             inject_rate: rate,
             inject_seed: seed,
             ..EngineConfig::default()
@@ -180,7 +179,6 @@ fn unscripted_run_agrees_with_sequential() {
         EngineConfig {
             workers: 2,
             checkpoint_period: 4,
-            merge_lanes: 1,
             inject_rate: rate,
             inject_seed: seed,
             ..EngineConfig::default()
@@ -188,36 +186,6 @@ fn unscripted_run_agrees_with_sequential() {
     );
     let mut interp = Interp::new(&m, &image, NopHooks, rt);
     interp.run_main().unwrap();
-    assert_eq!(interp.rt.take_output(), run_sequential(&m));
-}
-
-/// Merge-lane result order is scriptable: lane 1 is forced to report
-/// before lane 0 for both periods of a sharded span, and the commit is
-/// byte-identical anyway (the engine sorts lane results before
-/// committing in lane order).
-#[test]
-fn scripted_lane_result_order_commits_identically() {
-    let m = build_module();
-    let image = load_module(&m);
-    let cfg = EngineConfig {
-        workers: 2,
-        checkpoint_period: 4,
-        merge_lanes: 2,
-        ..EngineConfig::default()
-    };
-    let script = vec![
-        SchedPoint::MergeLane { lane: 1, period: 0 },
-        SchedPoint::MergeLane { lane: 0, period: 0 },
-        SchedPoint::MergeLane { lane: 1, period: 1 },
-        SchedPoint::MergeLane { lane: 0, period: 1 },
-    ];
-    let mut rt = MainRuntime::new(&image, cfg);
-    let sched = VirtualScheduler::scripted(script.clone());
-    rt.set_schedule(Arc::clone(&sched));
-    let mut interp = Interp::new(&m, &image, NopHooks, rt);
-    interp.run_main().unwrap();
-    assert_eq!(sched.timeouts(), 0);
-    assert_eq!(sched.fired(), script, "lane results arrived as scripted");
     assert_eq!(interp.rt.take_output(), run_sequential(&m));
 }
 
@@ -238,7 +206,6 @@ fn random_arrival_exploration_is_reproducible_and_agrees() {
                 EngineConfig {
                     workers: 2,
                     checkpoint_period: 4,
-                    merge_lanes: 1,
                     ..EngineConfig::default()
                 },
             );

@@ -13,7 +13,7 @@
 //!
 //! The trace machinery (op strategy, per-worker replay state, the
 //! deterministic order shuffle) lives in [`privateer_fuzz::trace`],
-//! shared with the sharded-merge suite and the `privfuzz` harness.
+//! shared with the `privfuzz` harness.
 
 use privateer_fuzz::trace::{
     op_strategy, priv_range, shuffled_order, touched_shadow_pages, TraceParams, TraceWorker,
@@ -53,7 +53,7 @@ proptest! {
         ops.sort_by_key(|o| (o.worker, o.period, o.pos));
 
         let mut workers: Vec<TraceWorker> = (0..PARAMS.workers)
-            .map(|w| TraceWorker::fresh(w, 1))
+            .map(TraceWorker::fresh)
             .collect();
 
         let mut committed_dense = AddressSpace::new();

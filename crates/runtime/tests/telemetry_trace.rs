@@ -127,11 +127,8 @@ fn traced_run_exports_recovery_window_per_worker_tracks() {
     assert_eq!(recoveries[0].a, from);
     assert_eq!(recoveries[0].b, through);
     assert!(recoveries[0].dur_ns > 0);
-    // One track per worker, the engine, and the merge-lane track. This
-    // workload's periods ship ~8 contribution pages — too few for the
-    // adaptive sharding policy (`model::sharding_profitable`) — so every
-    // merge runs inline and only lane 0's track carries spans.
-    assert_eq!(trace.tracks().len(), WORKERS + 2);
+    // One track per worker plus the engine's.
+    assert_eq!(trace.tracks().len(), WORKERS + 1);
     // Worker-side phases all made it into the capture.
     for phase in [Phase::Iteration, Phase::Package, Phase::Normalize] {
         assert!(
@@ -157,9 +154,8 @@ fn traced_run_exports_recovery_window_per_worker_tracks() {
         .filter(|e| e.get("name").unwrap().as_str() == Some("thread_name"))
         .filter_map(|e| e.get("args").unwrap().get("name").and_then(|n| n.as_str()))
         .collect();
-    assert_eq!(thread_names.len(), WORKERS + 2);
+    assert_eq!(thread_names.len(), WORKERS + 1);
     assert!(thread_names.contains(&"engine"));
-    assert!(thread_names.contains(&"merge lane 0"));
     for w in 0..WORKERS {
         let name = format!("worker {w}");
         assert!(thread_names.iter().any(|n| *n == name), "missing {name}");

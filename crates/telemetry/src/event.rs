@@ -22,9 +22,6 @@ pub enum Phase {
     Package,
     /// Phase-2 checkpoint merge (`a` = period, `b` = contributions).
     Merge,
-    /// One lane of a sharded phase-2 merge (merge-lane track; `a` =
-    /// period, `b` = pages owned by the lane).
-    MergeLane,
     /// Checkpoint commit (`a` = period).
     Commit,
     /// Sequential misspeculation recovery (`a` = from, `b` = through).
@@ -51,7 +48,6 @@ impl Phase {
             Phase::Normalize => "normalize",
             Phase::Package => "package",
             Phase::Merge => "merge",
-            Phase::MergeLane => "merge_lane",
             Phase::Commit => "commit",
             Phase::Recovery => "recovery",
             Phase::Loop => "loop",
@@ -66,9 +62,7 @@ impl Phase {
             Phase::Invoke | Phase::ParallelSpan | Phase::Misspec | Phase::Resume => "engine",
             Phase::Iteration | Phase::Loop => "exec",
             Phase::PrivRead | Phase::PrivWrite => "privacy",
-            Phase::Normalize | Phase::Package | Phase::Merge | Phase::MergeLane | Phase::Commit => {
-                "checkpoint"
-            }
+            Phase::Normalize | Phase::Package | Phase::Merge | Phase::Commit => "checkpoint",
             Phase::Recovery => "recovery",
         }
     }
@@ -83,7 +77,6 @@ impl Phase {
             Phase::Normalize => ("period", ""),
             Phase::Package => ("period", "pages"),
             Phase::Merge => ("period", "contribs"),
-            Phase::MergeLane => ("period", "pages"),
             Phase::Commit => ("period", ""),
             Phase::Recovery => ("from", "through"),
             Phase::Loop => ("loop", "trips"),
@@ -95,12 +88,6 @@ impl Phase {
 /// Track 0 is the engine (main thread); worker `w` records on track
 /// `w + 1`.
 pub const ENGINE_TRACK: u32 = 0;
-
-/// Merge lane `l` of a sharded checkpoint merge records on track
-/// `MERGE_LANE_TRACK_BASE + l`. The high base keeps lane tracks clear of
-/// the `worker w → w + 1` range without the exporter having to know the
-/// worker count.
-pub const MERGE_LANE_TRACK_BASE: u32 = 1 << 30;
 
 /// A compact span or instant record: fixed size, no allocation, suitable
 /// for the per-worker ring. `dur_ns == 0` means an instant event.
@@ -148,7 +135,6 @@ mod tests {
             Phase::Normalize,
             Phase::Package,
             Phase::Merge,
-            Phase::MergeLane,
             Phase::Commit,
             Phase::Recovery,
             Phase::Loop,

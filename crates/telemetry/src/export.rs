@@ -175,11 +175,8 @@ pub fn json_lines(trace: &TraceData) -> String {
 
 /// Display name of a track.
 pub fn track_name(track: u32) -> String {
-    use crate::event::{ENGINE_TRACK, MERGE_LANE_TRACK_BASE};
-    if track == ENGINE_TRACK {
+    if track == crate::event::ENGINE_TRACK {
         "engine".to_string()
-    } else if track >= MERGE_LANE_TRACK_BASE {
-        format!("merge lane {}", track - MERGE_LANE_TRACK_BASE)
     } else {
         format!("worker {}", track - 1)
     }

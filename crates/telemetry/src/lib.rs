@@ -42,7 +42,7 @@ pub mod order;
 pub mod registry;
 pub mod ring;
 
-pub use event::{Phase, SpanEvent, Stamped, ENGINE_TRACK, MERGE_LANE_TRACK_BASE};
+pub use event::{Phase, SpanEvent, Stamped, ENGINE_TRACK};
 pub use export::{chrome_trace, json_lines, TraceData};
 pub use order::{assert_happens_before, assert_stamps_ordered};
 pub use registry::{Counter, Gauge, Histogram, MetricSnapshot, MetricsRegistry};
