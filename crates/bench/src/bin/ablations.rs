@@ -10,7 +10,7 @@
 //!    proved successful at compile time and are elided").
 
 use privateer::pipeline::{privatize, PipelineConfig};
-use privateer_bench::{run_sequential, workloads, Scale};
+use privateer_bench::{outln, run_sequential, workloads, Scale};
 use privateer_runtime::{EngineConfig, MainRuntime};
 use privateer_vm::{load_module, Interp, NopHooks};
 
@@ -41,10 +41,12 @@ fn speedup_with(
 }
 
 fn main() {
-    println!("Ablation 1 — checkpoint period (dijkstra, 8 workers)\n");
-    println!(
+    outln!("Ablation 1 — checkpoint period (dijkstra, 8 workers)\n");
+    outln!(
         "{:<10}{:>14}{:>22}",
-        "period", "no misspec", "5% injected misspec"
+        "period",
+        "no misspec",
+        "5% injected misspec"
     );
     let wl = &workloads()[1];
     let module = wl.build(Scale::Bench);
@@ -52,13 +54,13 @@ fn main() {
     for period in [2u64, 4, 8, 16, 32, 64, 128] {
         let clean = speedup_with(&module, seq.insts, 8, period, 0.0);
         let dirty = speedup_with(&module, seq.insts, 8, period, 0.05);
-        println!("{period:<10}{clean:>13.2}x{dirty:>21.2}x");
+        outln!("{period:<10}{clean:>13.2}x{dirty:>21.2}x");
     }
-    println!("\n  short periods pay merge overhead every few iterations; long");
-    println!("  periods discard more work per misspeculation (§5.2).\n");
+    outln!("\n  short periods pay merge overhead every few iterations; long");
+    outln!("  periods discard more work per misspeculation (§5.2).\n");
 
-    println!("Ablation 2 — value prediction on/off (loops selected)\n");
-    println!("{:<14}{:>10}{:>10}", "program", "with VP", "without");
+    outln!("Ablation 2 — value prediction on/off (loops selected)\n");
+    outln!("{:<14}{:>10}{:>10}", "program", "with VP", "without");
     for wl in workloads() {
         let module = wl.build(Scale::Train);
         let on = privatize(&module, &PipelineConfig::default()).unwrap();
@@ -70,19 +72,19 @@ fn main() {
             },
         )
         .unwrap();
-        println!(
+        outln!(
             "{:<14}{:>10}{:>10}",
             wl.name,
             on.reports.len(),
             off.reports.len()
         );
     }
-    println!("\n  dijkstra and swaptions lose their hot loop without value");
-    println!("  prediction — the work-list/scratch-flag flow dependence blocks");
-    println!("  privatization (§6.1).\n");
+    outln!("\n  dijkstra and swaptions lose their hot loop without value");
+    outln!("  prediction — the work-list/scratch-flag flow dependence blocks");
+    outln!("  privatization (§6.1).\n");
 
-    println!("Ablation 3 — control speculation on/off (cold blocks removed)\n");
-    println!("{:<14}{:>10}{:>10}", "program", "with CS", "without");
+    outln!("Ablation 3 — control speculation on/off (cold blocks removed)\n");
+    outln!("{:<14}{:>10}{:>10}", "program", "with CS", "without");
     for wl in workloads() {
         let module = wl.build(Scale::Train);
         let on = privatize(&module, &PipelineConfig::default()).unwrap();
@@ -100,23 +102,31 @@ fn main() {
                 .map(|x| x.control_spec_blocks)
                 .sum::<usize>()
         };
-        println!("{:<14}{:>10}{:>10}", wl.name, blocks(&on), blocks(&off));
+        outln!("{:<14}{:>10}{:>10}", wl.name, blocks(&on), blocks(&off));
     }
 
-    println!("\nAblation 4 — separation checks: inserted vs elided (§4.5)\n");
-    println!(
+    outln!("\nAblation 4 — separation checks: inserted vs elided (§4.5)\n");
+    outln!(
         "{:<14}{:>10}{:>10}{:>12}{:>12}",
-        "program", "inserted", "elided", "priv reads", "priv writes"
+        "program",
+        "inserted",
+        "elided",
+        "priv reads",
+        "priv writes"
     );
     for wl in workloads() {
         let module = wl.build(Scale::Train);
         let r = privatize(&module, &PipelineConfig::default()).unwrap();
         let c = r.reports[0].checks;
-        println!(
+        outln!(
             "{:<14}{:>10}{:>10}{:>12}{:>12}",
-            wl.name, c.separation, c.elided, c.privacy_reads, c.privacy_writes
+            wl.name,
+            c.separation,
+            c.elided,
+            c.privacy_reads,
+            c.privacy_writes
         );
     }
-    println!("\n  pointers provably rooted in the right heap (globals, h_alloc");
-    println!("  results, and GEPs of either) never pay a runtime check.");
+    outln!("\n  pointers provably rooted in the right heap (globals, h_alloc");
+    outln!("  results, and GEPs of either) never pay a runtime check.");
 }

@@ -6,7 +6,7 @@
 //! $ cargo run -p privateer --bin privc -- dijkstra.ir --run --workers 8
 //! ```
 
-use privateer_bench::{workloads, Scale};
+use privateer_bench::{out, workloads, Scale};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_default();
@@ -19,7 +19,7 @@ fn main() {
         .iter()
         .find(|w| w.name.contains(&name) && !name.is_empty())
     {
-        Some(w) => print!("{}", privateer_ir::printer::print_module(&w.build(scale))),
+        Some(w) => out!("{}", privateer_ir::printer::print_module(&w.build(scale))),
         None => {
             eprintln!("usage: emit_ir <name> [train|bench]");
             eprintln!(

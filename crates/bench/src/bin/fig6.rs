@@ -1,16 +1,18 @@
 //! Figure 6: whole-program speedup of the fully automatically
 //! parallelized code vs best sequential execution, for 1..24 workers.
 
-use privateer_bench::{geomean, run_privateer, run_sequential, workloads, Scale, WORKER_COUNTS};
+use privateer_bench::{
+    geomean, out, outln, run_privateer, run_sequential, workloads, Scale, WORKER_COUNTS,
+};
 
 fn main() {
-    println!("Figure 6 — whole-program speedup over best sequential execution");
-    println!("(simulated cycles; see crates/bench/src/lib.rs for the timing model)\n");
-    print!("{:<14}", "program");
+    outln!("Figure 6 — whole-program speedup over best sequential execution");
+    outln!("(simulated cycles; see crates/bench/src/lib.rs for the timing model)\n");
+    out!("{:<14}", "program");
     for w in WORKER_COUNTS {
-        print!("{w:>8}");
+        out!("{w:>8}");
     }
-    println!();
+    outln!();
 
     let mut per_worker_speedups: Vec<Vec<f64>> = vec![Vec::new(); WORKER_COUNTS.len()];
     for wl in workloads() {
@@ -22,7 +24,7 @@ fn main() {
             "{}: bad sequential output",
             wl.name
         );
-        print!("{:<14}", wl.name);
+        out!("{:<14}", wl.name);
         for (i, &workers) in WORKER_COUNTS.iter().enumerate() {
             let par = run_privateer(&module, workers, 0.0);
             assert_eq!(
@@ -32,14 +34,14 @@ fn main() {
             );
             let speedup = seq.insts as f64 / par.sim_time() as f64;
             per_worker_speedups[i].push(speedup);
-            print!("{speedup:>8.2}");
+            out!("{speedup:>8.2}");
         }
-        println!();
+        outln!();
     }
-    print!("{:<14}", "geomean");
+    out!("{:<14}", "geomean");
     for col in &per_worker_speedups {
-        print!("{:>8.2}", geomean(col));
+        out!("{:>8.2}", geomean(col));
     }
-    println!();
-    println!("\npaper: geomean 11.4x at 24 workers on a 24-core Xeon X7460");
+    outln!();
+    outln!("\npaper: geomean 11.4x at 24 workers on a 24-core Xeon X7460");
 }

@@ -1,31 +1,31 @@
 //! Figure 9: performance degradation with injected misspeculation.
 
-use privateer_bench::{run_privateer, run_sequential, workloads, Scale};
+use privateer_bench::{out, outln, run_privateer, run_sequential, workloads, Scale};
 
 fn main() {
     // Rates as a fraction of iterations (the paper sweeps 0.01%..1% with
     // thousands of iterations; our loops run hundreds, so the sweep is
     // shifted to keep the expected number of misspeculations comparable).
     const RATES: [f64; 5] = [0.0, 0.005, 0.01, 0.05, 0.1];
-    println!("Figure 9 — speedup degradation under injected misspeculation");
-    println!("(24 workers, simulated cycles)\n");
-    print!("{:<14}", "program");
+    outln!("Figure 9 — speedup degradation under injected misspeculation");
+    outln!("(24 workers, simulated cycles)\n");
+    out!("{:<14}", "program");
     for r in RATES {
-        print!("{:>9.2}%", r * 100.0);
+        out!("{:>9.2}%", r * 100.0);
     }
-    println!();
+    outln!();
     for wl in workloads() {
         let module = wl.build(Scale::Bench);
         let seq = run_sequential(&module);
-        print!("{:<14}", wl.name);
+        out!("{:<14}", wl.name);
         for rate in RATES {
             let par = run_privateer(&module, 24, rate);
             assert_eq!(par.out, seq.out, "{}: diverged at rate {rate}", wl.name);
             let speedup = seq.insts as f64 / par.sim_time() as f64;
-            print!("{speedup:>10.2}");
+            out!("{speedup:>10.2}");
         }
-        println!();
+        outln!();
     }
-    println!("\npaper: four of five programs lose half their speedup at a 0.1%");
-    println!("misspeculation rate — high-confidence speculation is required.");
+    outln!("\npaper: four of five programs lose half their speedup at a 0.1%");
+    outln!("misspeculation rate — high-confidence speculation is required.");
 }

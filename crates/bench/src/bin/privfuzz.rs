@@ -14,6 +14,7 @@
 //! privfuzz --replay fuzz-failures/privfuzz-42-17.case
 //! ```
 
+use privateer_bench::{out, outln};
 use privateer_fuzz::{oracle, run_seeded, CaseSpec, OracleConfig};
 use std::process::ExitCode;
 
@@ -92,7 +93,7 @@ fn parse_args() -> Result<Options, String> {
             "--out" => opts.out_dir = value("--out")?,
             "--replay" => opts.replay = Some(value("--replay")?),
             "--help" | "-h" => {
-                print!("{USAGE}");
+                out!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument {other}")),
@@ -132,7 +133,7 @@ fn main() -> ExitCode {
         };
         return match oracle::check_case(&spec, &oc) {
             Ok(report) => {
-                println!(
+                outln!(
                     "replay {path}: PASS ({} misspec(s){})",
                     report.misspecs,
                     if report.seq_trapped {
@@ -150,18 +151,20 @@ fn main() -> ExitCode {
         };
     }
 
-    println!(
+    outln!(
         "privfuzz: seed {} · {} cases · workers {:?} × {{fast, reference}} merge · k={} · {} schedule seed(s)",
         opts.seed, opts.cases, opts.workers, opts.period, opts.schedule_seeds
     );
     let summary = run_seeded(opts.seed, opts.cases, &oc);
-    println!(
+    outln!(
         "privfuzz: {} case(s) run, {} with misspeculation, {} with genuine traps",
-        summary.cases, summary.cases_with_misspec, summary.cases_trapped
+        summary.cases,
+        summary.cases_with_misspec,
+        summary.cases_trapped
     );
     match summary.failure {
         None => {
-            println!("privfuzz: PASS");
+            outln!("privfuzz: PASS");
             ExitCode::SUCCESS
         }
         Some(f) => {

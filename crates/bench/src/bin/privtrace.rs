@@ -7,7 +7,7 @@
 //! privtrace --workload dijkstra --workers 4 --trace trace.json
 //! ```
 
-use privateer_bench::{run_privateer_with_telemetry, workloads, Scale};
+use privateer_bench::{out, outln, run_privateer_with_telemetry, workloads, Scale};
 use privateer_telemetry::{chrome_trace, json_lines, Telemetry, TraceData};
 use std::fmt::Write;
 use std::process::ExitCode;
@@ -70,12 +70,12 @@ fn parse_args() -> Result<Options, String> {
             "--jsonl" => opts.jsonl_path = Some(value("--jsonl")?),
             "--list" => {
                 for w in workloads() {
-                    println!("{}", w.name);
+                    outln!("{}", w.name);
                 }
                 std::process::exit(0);
             }
             "--help" | "-h" => {
-                print!("{USAGE}");
+                out!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}`")),
@@ -163,7 +163,7 @@ fn main() -> ExitCode {
     let trace = tel.trace();
 
     let ok = run.out == wl.reference(opts.scale);
-    println!(
+    outln!(
         "{}: {} workers, {:.1} ms wall, {} misspec(s), {} iterations recovered — output {}",
         wl.name,
         opts.workers,
@@ -173,11 +173,11 @@ fn main() -> ExitCode {
         if ok { "matches reference" } else { "DIVERGED" },
     );
 
-    print!("{}", phase_breakdown(&trace));
+    out!("{}", phase_breakdown(&trace));
 
-    println!("\nmetrics:");
+    outln!("\nmetrics:");
     for (name, snap) in &trace.metrics {
-        println!("  {name:<28} {snap:?}");
+        outln!("  {name:<28} {snap:?}");
     }
 
     if let Some(path) = &opts.trace_path {
@@ -185,14 +185,14 @@ fn main() -> ExitCode {
             eprintln!("privtrace: writing {path}: {e}");
             return ExitCode::from(1);
         }
-        println!("\nChrome trace written to {path} (open in chrome://tracing or Perfetto)");
+        outln!("\nChrome trace written to {path} (open in chrome://tracing or Perfetto)");
     }
     if let Some(path) = &opts.jsonl_path {
         if let Err(e) = std::fs::write(path, json_lines(&trace)) {
             eprintln!("privtrace: writing {path}: {e}");
             return ExitCode::from(1);
         }
-        println!("JSON lines written to {path}");
+        outln!("JSON lines written to {path}");
     }
 
     if ok {

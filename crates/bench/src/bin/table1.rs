@@ -5,7 +5,7 @@
 
 use privateer::baseline::{doall_only, lrpd_applicable};
 use privateer::pipeline::{privatize, PipelineConfig};
-use privateer_bench::{workloads, Scale};
+use privateer_bench::{outln, workloads, Scale};
 use privateer_ir::builder::FunctionBuilder;
 use privateer_ir::loops::LoopInfo;
 use privateer_ir::{CmpOp, Module, Type, Value};
@@ -44,12 +44,15 @@ fn array_kernel() -> Module {
 }
 
 fn main() {
-    println!("Table 1 — applicability on the evaluated programs");
-    println!("(Privateer = this system; LRPD = array-only shadow test;");
-    println!(" static DOALL = non-speculative affine analysis)\n");
-    println!(
+    outln!("Table 1 — applicability on the evaluated programs");
+    outln!("(Privateer = this system; LRPD = array-only shadow test;");
+    outln!(" static DOALL = non-speculative affine analysis)\n");
+    outln!(
         "{:<14}{:>12}{:>14}{:>16}",
-        "program", "privateer", "array LRPD", "static DOALL"
+        "program",
+        "privateer",
+        "array LRPD",
+        "static DOALL"
     );
 
     let mut rows: Vec<(String, Module)> = workloads()
@@ -81,7 +84,7 @@ fn main() {
             .any(|&(f, l)| (f, l) == hot);
 
         let mark = |b: bool| if b { "yes" } else { "no" };
-        println!(
+        outln!(
             "{:<14}{:>12}{:>14}{:>16}",
             name,
             mark(piv),
@@ -90,14 +93,14 @@ fn main() {
         );
     }
 
-    println!("\nCapability summary (cf. the paper's Table 1):");
-    println!("  Privateer   : fully automatic; pointers + dynamic allocation;");
-    println!("                speculative privatization criterion; heap-separation");
-    println!("                memory layout; speculative reductions.");
-    println!("  array LRPD  : speculative criterion, but layout limited to");
-    println!("                statically named arrays — fails on linked structures,");
-    println!("                dynamic allocation, and pointers loaded from memory.");
-    println!("  static DOALL: no speculation; both criterion and layout limited by");
-    println!("                static analysis — fails wherever may-alias or");
-    println!("                non-affine subscripts appear.");
+    outln!("\nCapability summary (cf. the paper's Table 1):");
+    outln!("  Privateer   : fully automatic; pointers + dynamic allocation;");
+    outln!("                speculative privatization criterion; heap-separation");
+    outln!("                memory layout; speculative reductions.");
+    outln!("  array LRPD  : speculative criterion, but layout limited to");
+    outln!("                statically named arrays — fails on linked structures,");
+    outln!("                dynamic allocation, and pointers loaded from memory.");
+    outln!("  static DOALL: no speculation; both criterion and layout limited by");
+    outln!("                static analysis — fails wherever may-alias or");
+    outln!("                non-affine subscripts appear.");
 }

@@ -32,6 +32,46 @@ use privateer_vm::{load_module, BasicRuntime, Interp, NopHooks};
 use privateer_workloads::{alvinn, blackscholes, dijkstra, md5, swaptions};
 use std::time::{Duration, Instant};
 
+/// Write `args` to stdout: the body of [`out!`] and [`outln!`], which the
+/// binaries use in place of `print!` and `println!`.
+///
+/// A reader that closes the pipe early (`fig6 | head -1`) leaves the
+/// program nothing to do, so it exits quietly with status 0 instead of
+/// panicking with "failed printing to stdout".
+///
+/// # Panics
+///
+/// On any other stdout write error, as `print!` does.
+pub fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
+/// `print!` that exits quietly once stdout is a closed pipe (see
+/// [`write_stdout`]).
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` that exits quietly once stdout is a closed pipe (see
+/// [`write_stdout`]).
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Input scale for harness runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {

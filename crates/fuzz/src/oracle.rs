@@ -331,7 +331,6 @@ pub fn check_case(spec: &CaseSpec, oc: &OracleConfig) -> Result<CaseReport, Case
         checkpoint_period: oc.checkpoint_period,
         inject_rate: 0.0,
         inject_seed: 0,
-        inject_merge_fault: None,
         reference_merge,
     };
 

@@ -18,7 +18,7 @@ use crate::schedule::{SchedPoint, VirtualScheduler};
 use crate::shadow::MAX_PERIOD;
 use crate::worker::{WorkerRuntime, WorkerStats};
 use privateer_ir::inst::SHADOW_BIT;
-use privateer_ir::{FuncId, Heap, InstId, Module, PlanEntry, ReduxOp};
+use privateer_ir::{FuncId, Heap, Module, PlanEntry, ReduxOp};
 use privateer_telemetry::{
     clock, Counter, Histogram, MetricsRegistry, Phase, SpanEvent, Stamped, Telemetry, TraceData,
     WorkerTelemetry, ENGINE_TRACK,
@@ -42,11 +42,6 @@ pub struct EngineConfig {
     pub inject_rate: f64,
     /// Seed for deterministic injection.
     pub inject_seed: u64,
-    /// Fault-injection hook for the engine tests: fail the checkpoint
-    /// merge of the given period with an internal (non-misspeculation)
-    /// trap, exercising the bail-out path of the collection loop.
-    #[doc(hidden)]
-    pub inject_merge_fault: Option<u64>,
     /// Differential-testing mode: merge every period with the simple
     /// per-address [`ReferenceCheckpointMerge`] instead of the dense
     /// fast path [`CheckpointMerge`]. Commits, traps and I/O must be
@@ -62,7 +57,6 @@ impl Default for EngineConfig {
             checkpoint_period: 64,
             inject_rate: 0.0,
             inject_seed: 0x5eed,
-            inject_merge_fault: None,
             reference_merge: false,
         }
     }
@@ -335,7 +329,9 @@ fn arrival_squashed(bailed: bool, misspec_iter: Option<i64>, period: u64, lo: i6
 }
 
 /// The main-process runtime: shared-heap allocation plus the speculative
-/// DOALL engine behind [`RuntimeIface::parallel_invoke`].
+/// DOALL engine behind [`RuntimeIface::parallel_invoke`]. Code outside a
+/// parallel region runs non-speculatively, so its checks keep the trait's
+/// inert defaults.
 #[derive(Debug)]
 pub struct MainRuntime {
     /// Engine configuration.
@@ -353,7 +349,7 @@ pub struct MainRuntime {
     metrics: EngineMetrics,
     redux: Vec<(ReduxOp, u64, u64)>,
     out: Vec<u8>,
-    inject_phase2: Option<u64>,
+    merge_fault: Option<(u64, Trap)>,
     sched: Option<Arc<VirtualScheduler>>,
 }
 
@@ -377,7 +373,7 @@ impl MainRuntime {
             metrics,
             redux: Vec::new(),
             out: Vec::new(),
-            inject_phase2: None,
+            merge_fault: None,
             sched: None,
         }
     }
@@ -388,12 +384,13 @@ impl MainRuntime {
     }
 
     /// Fault-injection hook for tests: fail the phase-2 merge of `period`
-    /// with a privacy misspeculation, forcing the whole period through
-    /// the recovery path. One-shot — clears itself when it fires, so the
-    /// resumed span (whose periods renumber from zero) is unaffected.
+    /// with `trap`. A misspeculation sends the whole period through
+    /// recovery; any other trap bails out of the span. One-shot — clears
+    /// itself when it fires, so a resumed span (whose periods renumber
+    /// from zero) is unaffected.
     #[doc(hidden)]
-    pub fn inject_phase2_misspec(&mut self, period: u64) {
-        self.inject_phase2 = Some(period);
+    pub fn fail_merge_at(&mut self, period: u64, trap: Trap) {
+        self.merge_fault = Some((period, trap));
     }
 
     /// Attach a [`VirtualScheduler`]: worker iterations, contribution
@@ -617,8 +614,10 @@ impl MainRuntime {
                     let n_contribs = contribs.len() as i64;
                     let contrib_pages_in_merge: u64 =
                         contribs.iter().map(|c| c.page_count() as u64).sum();
-                    let mut failed = (cfg.inject_merge_fault == Some(next_commit))
-                        .then(|| Trap::Internal("injected merge fault".into()));
+                    let mut failed = self
+                        .merge_fault
+                        .take_if(|(period, _)| *period == next_commit)
+                        .map(|(_, trap)| trap);
                     let mut merge = if cfg.reference_merge {
                         PeriodMerge::Reference(ReferenceCheckpointMerge::new(redux.len()))
                     } else {
@@ -629,13 +628,6 @@ impl MainRuntime {
                             .into_iter()
                             .try_for_each(|c| merge.add(c, mem))
                             .err();
-                    }
-                    if failed.is_none() && self.inject_phase2 == Some(next_commit) {
-                        self.inject_phase2 = None;
-                        failed = Some(Trap::misspec(
-                            MisspecKind::Privacy,
-                            "injected phase-2 privacy violation",
-                        ));
                     }
                     if tel.is_tracing() {
                         tel.record(SpanEvent {
@@ -945,58 +937,19 @@ fn worker_main(
 }
 
 impl RuntimeIface for MainRuntime {
-    fn h_alloc(
-        &mut self,
-        heap: Heap,
-        size: u64,
-        _mem: &mut AddressSpace,
-        _site: (FuncId, InstId),
-    ) -> Result<u64, Trap> {
+    fn h_alloc(&mut self, heap: Heap, size: u64) -> Result<u64, Trap> {
         self.heaps.alloc(heap, size)
     }
 
-    fn h_free(&mut self, heap: Heap, addr: u64, _mem: &mut AddressSpace) -> Result<(), Trap> {
+    fn h_free(&mut self, heap: Heap, addr: u64) -> Result<(), Trap> {
         self.heaps.free(heap, addr)
-    }
-
-    fn check_heap(&mut self, heap: Heap, addr: u64) -> Result<(), Trap> {
-        if addr == 0 || heap.contains(addr) {
-            Ok(())
-        } else {
-            Err(Trap::misspec(
-                MisspecKind::Separation,
-                format!("pointer {addr:#x} is not in heap `{heap}` (sequential)"),
-            ))
-        }
-    }
-
-    fn private_read(&mut self, _a: u64, _s: u64, _m: &mut AddressSpace) -> Result<(), Trap> {
-        Ok(())
-    }
-
-    fn private_write(&mut self, _a: u64, _s: u64, _m: &mut AddressSpace) -> Result<(), Trap> {
-        Ok(())
-    }
-
-    fn predict(&mut self, _ok: bool) -> Result<(), Trap> {
-        Ok(()) // sequential execution is non-speculative
-    }
-
-    fn misspec(&mut self) -> Result<(), Trap> {
-        Ok(())
     }
 
     fn output(&mut self, bytes: &[u8]) {
         self.out.extend_from_slice(bytes);
     }
 
-    fn redux_register(
-        &mut self,
-        op: ReduxOp,
-        addr: u64,
-        size: u64,
-        _mem: &mut AddressSpace,
-    ) -> Result<(), Trap> {
+    fn redux_register(&mut self, op: ReduxOp, addr: u64, size: u64) -> Result<(), Trap> {
         if !size.is_multiple_of(8) {
             return Err(Trap::Internal(format!(
                 "reduction object size {size} is not a multiple of 8"
@@ -1057,57 +1010,10 @@ impl RuntimeIface for MainRuntime {
     }
 }
 
-/// The recovery runtime: non-speculative sequential execution over the
-/// shared heaps; checks are inert, output is direct.
-#[derive(Debug)]
-struct RecoveryRuntime {
-    heaps: SharedHeaps,
-    out: Vec<u8>,
-}
-
-impl RuntimeIface for RecoveryRuntime {
-    fn h_alloc(
-        &mut self,
-        heap: Heap,
-        size: u64,
-        _mem: &mut AddressSpace,
-        _site: (FuncId, InstId),
-    ) -> Result<u64, Trap> {
-        self.heaps.alloc(heap, size)
-    }
-
-    fn h_free(&mut self, heap: Heap, addr: u64, _mem: &mut AddressSpace) -> Result<(), Trap> {
-        self.heaps.free(heap, addr)
-    }
-
-    fn check_heap(&mut self, _heap: Heap, _addr: u64) -> Result<(), Trap> {
-        Ok(())
-    }
-
-    fn private_read(&mut self, _a: u64, _s: u64, _m: &mut AddressSpace) -> Result<(), Trap> {
-        Ok(())
-    }
-
-    fn private_write(&mut self, _a: u64, _s: u64, _m: &mut AddressSpace) -> Result<(), Trap> {
-        Ok(())
-    }
-
-    fn predict(&mut self, _ok: bool) -> Result<(), Trap> {
-        Ok(())
-    }
-
-    fn misspec(&mut self) -> Result<(), Trap> {
-        Ok(())
-    }
-
-    fn output(&mut self, bytes: &[u8]) {
-        self.out.extend_from_slice(bytes);
-    }
-}
-
-/// Run the recovery body for each iteration of `iters` in order on a
-/// [`RecoveryRuntime`] over `mem`, stopping at the first trap. Returns
-/// the result, the output printed, and the instructions executed.
+/// Run the recovery body for each iteration of `iters` in order over
+/// `mem`, stopping at the first trap: non-speculative execution on a
+/// [`SequentialPlanRuntime`] that allocates from `heaps`. Returns the
+/// result, the output printed, and the instructions executed.
 fn run_recovery(
     module: &Module,
     global_addrs: &[u64],
@@ -1116,7 +1022,7 @@ fn run_recovery(
     mut iters: std::ops::Range<i64>,
     mem: &mut AddressSpace,
 ) -> (Result<(), Trap>, Vec<u8>, u64) {
-    let rt = RecoveryRuntime {
+    let rt = SequentialPlanRuntime {
         heaps: heaps.clone(),
         out: Vec::new(),
     };
@@ -1128,10 +1034,12 @@ fn run_recovery(
     (result, interp.rt.out, interp.stats.insts)
 }
 
-/// A sequential plan runtime: executes `parallel_invoke` regions one
-/// iteration at a time with the *recovery* body (original semantics). Used
-/// to run transformed programs without the engine — e.g. to validate the
-/// transformation or measure single-threaded behavior.
+/// The non-speculative runtime: executes `parallel_invoke` regions one
+/// iteration at a time with the *recovery* body (original semantics), and
+/// every check keeps the trait's inert default. It runs transformed
+/// programs without the engine — e.g. to validate the transformation or
+/// measure single-threaded behavior — and is what the engine's
+/// sequential recovery runs on.
 #[derive(Debug)]
 pub struct SequentialPlanRuntime {
     /// Shared logical-heap allocators.
@@ -1155,45 +1063,12 @@ impl SequentialPlanRuntime {
 }
 
 impl RuntimeIface for SequentialPlanRuntime {
-    fn h_alloc(
-        &mut self,
-        heap: Heap,
-        size: u64,
-        _mem: &mut AddressSpace,
-        _site: (FuncId, InstId),
-    ) -> Result<u64, Trap> {
+    fn h_alloc(&mut self, heap: Heap, size: u64) -> Result<u64, Trap> {
         self.heaps.alloc(heap, size)
     }
 
-    fn h_free(&mut self, heap: Heap, addr: u64, _mem: &mut AddressSpace) -> Result<(), Trap> {
+    fn h_free(&mut self, heap: Heap, addr: u64) -> Result<(), Trap> {
         self.heaps.free(heap, addr)
-    }
-
-    fn check_heap(&mut self, heap: Heap, addr: u64) -> Result<(), Trap> {
-        if addr == 0 || heap.contains(addr) {
-            Ok(())
-        } else {
-            Err(Trap::misspec(
-                MisspecKind::Separation,
-                format!("pointer {addr:#x} is not in heap `{heap}`"),
-            ))
-        }
-    }
-
-    fn private_read(&mut self, _a: u64, _s: u64, _m: &mut AddressSpace) -> Result<(), Trap> {
-        Ok(())
-    }
-
-    fn private_write(&mut self, _a: u64, _s: u64, _m: &mut AddressSpace) -> Result<(), Trap> {
-        Ok(())
-    }
-
-    fn predict(&mut self, _ok: bool) -> Result<(), Trap> {
-        Ok(())
-    }
-
-    fn misspec(&mut self) -> Result<(), Trap> {
-        Ok(())
     }
 
     fn output(&mut self, bytes: &[u8]) {

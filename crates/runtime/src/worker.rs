@@ -3,7 +3,7 @@
 use crate::heaps::worker_shortlived_arena;
 use crate::shadow::{self, Access};
 use privateer_ir::inst::SHADOW_BIT;
-use privateer_ir::{FuncId, Heap, InstId, Module, PlanEntry, ReduxOp};
+use privateer_ir::{Heap, Module, PlanEntry, ReduxOp};
 use privateer_telemetry::{Phase, WorkerTelemetry};
 use privateer_vm::{AddressSpace, MisspecKind, RegionAllocator, RuntimeIface, Trap, PAGE_SIZE};
 use std::time::Instant;
@@ -184,13 +184,7 @@ impl WorkerRuntime {
 }
 
 impl RuntimeIface for WorkerRuntime {
-    fn h_alloc(
-        &mut self,
-        heap: Heap,
-        size: u64,
-        _mem: &mut AddressSpace,
-        _site: (FuncId, InstId),
-    ) -> Result<u64, Trap> {
+    fn h_alloc(&mut self, heap: Heap, size: u64) -> Result<u64, Trap> {
         match heap {
             Heap::ShortLived => {
                 self.sl_live += 1;
@@ -204,7 +198,7 @@ impl RuntimeIface for WorkerRuntime {
         }
     }
 
-    fn h_free(&mut self, heap: Heap, addr: u64, _mem: &mut AddressSpace) -> Result<(), Trap> {
+    fn h_free(&mut self, heap: Heap, addr: u64) -> Result<(), Trap> {
         match heap {
             Heap::ShortLived => {
                 // Validate the free before touching the lifetime counter:
@@ -284,13 +278,7 @@ impl RuntimeIface for WorkerRuntime {
         self.cur_io.extend_from_slice(bytes);
     }
 
-    fn redux_register(
-        &mut self,
-        _op: ReduxOp,
-        _addr: u64,
-        _size: u64,
-        _mem: &mut AddressSpace,
-    ) -> Result<(), Trap> {
+    fn redux_register(&mut self, _op: ReduxOp, _addr: u64, _size: u64) -> Result<(), Trap> {
         // Registration happens before the invocation, in the main process;
         // a registration inside the loop is a transformation bug.
         Err(Trap::Internal(
@@ -536,30 +524,28 @@ mod tests {
 
     #[test]
     fn shortlived_lifetime_validated() {
-        let (mut rt, mut mem, _) = setup();
-        let site = (FuncId::new(0), InstId::new(0));
+        let (mut rt, _, _) = setup();
         rt.begin_iteration(0, 0).unwrap();
-        let p = rt.h_alloc(Heap::ShortLived, 32, &mut mem, site).unwrap();
-        rt.h_free(Heap::ShortLived, p, &mut mem).unwrap();
+        let p = rt.h_alloc(Heap::ShortLived, 32).unwrap();
+        rt.h_free(Heap::ShortLived, p).unwrap();
         rt.end_iteration().unwrap();
 
         rt.begin_iteration(1, 1).unwrap();
-        let _leak = rt.h_alloc(Heap::ShortLived, 32, &mut mem, site).unwrap();
+        let _leak = rt.h_alloc(Heap::ShortLived, 32).unwrap();
         let e = rt.end_iteration().unwrap_err();
         assert!(matches!(e, Trap::Misspec(m) if m.kind == MisspecKind::Lifetime));
     }
 
     #[test]
     fn double_free_does_not_corrupt_lifetime_counter() {
-        let (mut rt, mut mem, _) = setup();
-        let site = (FuncId::new(0), InstId::new(0));
+        let (mut rt, _, _) = setup();
         rt.begin_iteration(0, 0).unwrap();
-        let p = rt.h_alloc(Heap::ShortLived, 32, &mut mem, site).unwrap();
-        rt.h_free(Heap::ShortLived, p, &mut mem).unwrap();
+        let p = rt.h_alloc(Heap::ShortLived, 32).unwrap();
+        rt.h_free(Heap::ShortLived, p).unwrap();
         // The second free is invalid and must fail *without* decrementing
         // the live counter below zero.
         assert!(matches!(
-            rt.h_free(Heap::ShortLived, p, &mut mem),
+            rt.h_free(Heap::ShortLived, p),
             Err(Trap::AllocError(_))
         ));
         // Allocations and successful frees balance, so the iteration ends
@@ -570,9 +556,8 @@ mod tests {
 
     #[test]
     fn worker_private_alloc_rejected() {
-        let (mut rt, mut mem, _) = setup();
-        let site = (FuncId::new(0), InstId::new(0));
-        assert!(rt.h_alloc(Heap::Private, 8, &mut mem, site).is_err());
+        let (mut rt, _, _) = setup();
+        assert!(rt.h_alloc(Heap::Private, 8).is_err());
     }
 
     #[test]

@@ -299,9 +299,12 @@ fn merge_fault_bails_without_dropping_worker_stats() {
     // early used to discard them (under-counting `iters_speculative`,
     // `body_ns` and the whole sim model).
     let m = build_module(false);
-    let mut c = cfg(4);
-    c.inject_merge_fault = Some(0);
-    let (r, _, rt) = run_parallel(&m, c);
+    let image = load_module(&m);
+    let mut rt = MainRuntime::new(&image, cfg(4));
+    rt.fail_merge_at(0, Trap::Internal("injected merge fault".into()));
+    let mut interp = Interp::new(&m, &image, NopHooks, rt);
+    let r = interp.run_main();
+    let rt = interp.rt;
     match r {
         Err(Trap::Internal(msg)) => assert!(msg.contains("injected merge fault"), "{msg}"),
         other => panic!("expected the injected merge fault, got {other:?}"),

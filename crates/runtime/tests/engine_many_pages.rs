@@ -79,7 +79,6 @@ fn run_engine(m: &Module, reference_merge: bool) -> (Vec<u8>, Vec<EngineEvent>, 
         inject_rate: 0.0,
         inject_seed: 0,
         reference_merge,
-        ..EngineConfig::default()
     };
     let image = load_module(m);
     let mut interp = Interp::new(m, &image, NopHooks, MainRuntime::new(&image, cfg));

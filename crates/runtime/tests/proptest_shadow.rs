@@ -310,14 +310,12 @@ proptest! {
     fn shortlived_balance(allocs in 1usize..8, frees_short in 0usize..8) {
         let frees = frees_short.min(allocs);
         let mut rt = WorkerRuntime::new(0, 0.0, 0);
-        let mut mem = AddressSpace::new();
-        let site = (privateer_ir::FuncId::new(0), privateer_ir::InstId::new(0));
         rt.begin_iteration(0, 0).unwrap();
         let ptrs: Vec<u64> = (0..allocs)
-            .map(|_| rt.h_alloc(Heap::ShortLived, 16, &mut mem, site).unwrap())
+            .map(|_| rt.h_alloc(Heap::ShortLived, 16).unwrap())
             .collect();
         for &p in ptrs.iter().take(frees) {
-            rt.h_free(Heap::ShortLived, p, &mut mem).unwrap();
+            rt.h_free(Heap::ShortLived, p).unwrap();
         }
         let end = rt.end_iteration();
         if frees == allocs {

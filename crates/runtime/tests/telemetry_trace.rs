@@ -10,7 +10,7 @@ use privateer_runtime::{EngineConfig, EngineEvent, MainRuntime, SequentialPlanRu
 use privateer_telemetry::{
     assert_happens_before, chrome_trace, json, json_lines, Phase, Telemetry,
 };
-use privateer_vm::{load_module, Interp, NopHooks};
+use privateer_vm::{load_module, Interp, MisspecKind, NopHooks, Trap};
 
 const N: i64 = 96;
 const PERIOD: u64 = 16;
@@ -81,7 +81,10 @@ fn traced_run_exports_recovery_window_per_worker_tracks() {
     // Fail the phase-2 merge of period 2 (iterations 32..48): periods 0-1
     // commit, the whole of period 2 recovers sequentially, the span
     // resumes at 48.
-    rt.inject_phase2_misspec(2);
+    rt.fail_merge_at(
+        2,
+        Trap::misspec(MisspecKind::Privacy, "injected phase-2 privacy violation"),
+    );
     let mut interp = Interp::new(&m, &image, NopHooks, rt);
     interp.run_main().unwrap();
     assert_eq!(interp.rt.take_output(), want);

@@ -5,7 +5,7 @@
 //! nothing for the seams.
 
 use crate::hooks::{AllocKind, ExecCtx, Hooks, LoopFrame};
-use crate::mem::{AddressSpace, RegionAllocator, GLOBAL_BASE, MALLOC_BASE, PAGE_SIZE, STACK_BASE};
+use crate::mem::{AddressSpace, GLOBAL_BASE, PAGE_SIZE};
 use crate::runtime::RuntimeIface;
 use crate::trap::Trap;
 use crate::val::Val;
@@ -146,8 +146,6 @@ pub struct Interp<'m, H, R> {
     pub stats: InterpStats,
     global_addrs: Vec<u64>,
     meta: Vec<FuncMeta>,
-    stack_alloc: RegionAllocator,
-    malloc_alloc: RegionAllocator,
     ctx: ExecCtx,
     loop_invocations: HashMap<(FuncId, LoopId), u64>,
     steps: u64,
@@ -166,7 +164,9 @@ impl<'m, H: Hooks, R: RuntimeIface> Interp<'m, H, R> {
         )
     }
 
-    /// Create an interpreter over an explicit memory (worker forks).
+    /// Create an interpreter over an explicit memory (worker forks,
+    /// sequential recovery). Stack and `malloc` allocation continue from
+    /// `mem`'s allocators.
     pub fn with_mem(
         module: &'m Module,
         mem: AddressSpace,
@@ -183,8 +183,6 @@ impl<'m, H: Hooks, R: RuntimeIface> Interp<'m, H, R> {
             stats: InterpStats::default(),
             global_addrs,
             meta,
-            stack_alloc: RegionAllocator::new(STACK_BASE, MALLOC_BASE),
-            malloc_alloc: RegionAllocator::new(MALLOC_BASE, MALLOC_BASE + (1 << 40)),
             ctx: ExecCtx::default(),
             loop_invocations: HashMap::new(),
             steps: 0,
@@ -405,7 +403,8 @@ impl<'m, H: Hooks, R: RuntimeIface> Interp<'m, H, R> {
                 .on_loop_exit(&self.ctx, func_id, frame.loop_id, frame.iter + 1);
         }
         for a in allocas {
-            self.stack_alloc
+            self.mem
+                .stack
                 .free(a)
                 .map_err(|e| Trap::AllocError(e.to_string()))?;
         }
@@ -480,7 +479,8 @@ impl<'m, H: Hooks, R: RuntimeIface> Interp<'m, H, R> {
             }
             InstKind::Alloca { size, .. } => {
                 let addr = self
-                    .stack_alloc
+                    .mem
+                    .stack
                     .alloc(*size)
                     .map_err(|e| Trap::AllocError(e.to_string()))?;
                 // Stack slots start zeroed each activation (freed slots may
@@ -494,7 +494,8 @@ impl<'m, H: Hooks, R: RuntimeIface> Interp<'m, H, R> {
             InstKind::Malloc(size) => {
                 let size = self.resolve(func, regs, args, *size)?.as_int().max(0) as u64;
                 let addr = self
-                    .malloc_alloc
+                    .mem
+                    .malloc
                     .alloc(size)
                     .map_err(|e| Trap::AllocError(e.to_string()))?;
                 // C malloc does not zero; reused blocks keep stale bytes.
@@ -508,7 +509,8 @@ impl<'m, H: Hooks, R: RuntimeIface> Interp<'m, H, R> {
                     return Ok(None); // free(NULL) is a no-op
                 }
                 self.hooks.on_free(&self.ctx, func_id, i, addr);
-                self.malloc_alloc
+                self.mem
+                    .malloc
                     .free(addr)
                     .map_err(|e| Trap::AllocError(e.to_string()))?;
                 Ok(None)
@@ -589,7 +591,7 @@ impl<'m, H: Hooks, R: RuntimeIface> Interp<'m, H, R> {
             }
             Intrinsic::HAlloc(heap) => {
                 let size = vals[0].as_int().max(0) as u64;
-                let addr = self.rt.h_alloc(heap, size, &mut self.mem, (func_id, i))?;
+                let addr = self.rt.h_alloc(heap, size)?;
                 self.hooks
                     .on_alloc(&self.ctx, func_id, i, addr, size, AllocKind::HAlloc(heap));
                 Ok(Some(Val::ptr(addr)))
@@ -598,7 +600,7 @@ impl<'m, H: Hooks, R: RuntimeIface> Interp<'m, H, R> {
                 let addr = vals[0].as_ptr();
                 if addr != 0 {
                     self.hooks.on_free(&self.ctx, func_id, i, addr);
-                    self.rt.h_free(heap, addr, &mut self.mem)?;
+                    self.rt.h_free(heap, addr)?;
                 }
                 Ok(None)
             }
@@ -628,8 +630,7 @@ impl<'m, H: Hooks, R: RuntimeIface> Interp<'m, H, R> {
             }
             Intrinsic::ReduxRegister(op) => {
                 let size = vals[1].as_int().max(0) as u64;
-                self.rt
-                    .redux_register(op, vals[0].as_ptr(), size, &mut self.mem)?;
+                self.rt.redux_register(op, vals[0].as_ptr(), size)?;
                 Ok(None)
             }
             Intrinsic::ParallelInvoke(plan) => {

@@ -31,6 +31,6 @@ pub mod val;
 pub use hooks::{AllocKind, ExecCtx, Hooks, LoopFrame, NopHooks, TraceHooks};
 pub use interp::{load_module, Interp, InterpStats, ProgramImage};
 pub use mem::{AddressSpace, Page, RegionAllocator, PAGE_SIZE};
-pub use runtime::{BasicRuntime, CheckMode, RuntimeIface};
+pub use runtime::{BasicRuntime, RuntimeIface};
 pub use trap::{Misspec, MisspecKind, Trap};
 pub use val::Val;

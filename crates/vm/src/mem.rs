@@ -32,9 +32,26 @@ pub const MALLOC_BASE: u64 = 0x0000_4000_0000;
 /// Reads from unmapped pages return zeros; writes materialize pages on
 /// demand. Addresses below [`PAGE_SIZE`] form a null guard page — accessing
 /// them is a fault surfaced by the interpreter, not here.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct AddressSpace {
     pages: HashMap<u64, Arc<Page>>,
+    /// Allocator of the untagged stack region (allocas). It lives with the
+    /// memory it manages, so an interpreter resumed over this space (e.g.
+    /// sequential recovery) continues the caller's allocations instead of
+    /// handing out the caller's live objects a second time.
+    pub(crate) stack: RegionAllocator,
+    /// Allocator of the untagged `malloc` region (see `stack`).
+    pub(crate) malloc: RegionAllocator,
+}
+
+impl Default for AddressSpace {
+    fn default() -> AddressSpace {
+        AddressSpace {
+            pages: HashMap::new(),
+            stack: RegionAllocator::new(STACK_BASE, MALLOC_BASE),
+            malloc: RegionAllocator::new(MALLOC_BASE, MALLOC_BASE + (1 << 40)),
+        }
+    }
 }
 
 impl AddressSpace {
@@ -44,7 +61,8 @@ impl AddressSpace {
     }
 
     /// Fork this address space: the child shares every page
-    /// copy-on-write with `self`.
+    /// copy-on-write with `self` and starts from a copy of its stack and
+    /// `malloc` allocators.
     ///
     /// ```
     /// use privateer_vm::mem::AddressSpace;
@@ -59,6 +77,8 @@ impl AddressSpace {
     pub fn fork(&self) -> AddressSpace {
         AddressSpace {
             pages: self.pages.clone(),
+            stack: self.stack.clone(),
+            malloc: self.malloc.clone(),
         }
     }
 

@@ -7,73 +7,91 @@
 
 use crate::mem::{AddressSpace, RegionAllocator};
 use crate::trap::{MisspecKind, Trap};
-use privateer_ir::{FuncId, Heap, InstId, Module, PlanEntry, ReduxOp};
+use privateer_ir::{Heap, Module, PlanEntry, ReduxOp};
 use std::collections::HashMap;
 
 /// Services the interpreter requests from the runtime system.
 ///
-/// One implementation exists per execution mode: sequential
-/// ([`BasicRuntime`]), speculative worker, and recovery (both in
-/// `privateer-runtime`).
+/// The default methods *are* the non-speculative semantics (§5.3): outside
+/// a speculative worker a failed check has nothing to roll back, so every
+/// check passes and `redux_register` needs no expansion. A runtime for
+/// code that runs outside speculation — the main process around parallel
+/// regions, sequential recovery, the DOALL-only baseline — implements only
+/// allocation and output. The speculative worker runtime in
+/// `privateer-runtime` overrides the checks; [`BasicRuntime`] overrides
+/// the separation, prediction and `misspec()` checks to trap, because the
+/// untransformed programs it runs contain no check intrinsics.
 pub trait RuntimeIface {
-    /// `h_alloc(size)` from a logical heap (§4.4). `site` is the static
-    /// allocation site for bookkeeping.
+    /// `h_alloc(size)` from a logical heap (§4.4).
     ///
     /// # Errors
     ///
     /// Traps with [`Trap::OutOfMemory`] when the heap range is exhausted.
-    fn h_alloc(
-        &mut self,
-        heap: Heap,
-        size: u64,
-        mem: &mut AddressSpace,
-        site: (FuncId, InstId),
-    ) -> Result<u64, Trap>;
+    fn h_alloc(&mut self, heap: Heap, size: u64) -> Result<u64, Trap>;
 
     /// `h_dealloc(ptr)` into a logical heap (§4.4).
     ///
     /// # Errors
     ///
     /// Traps on frees of unallocated addresses.
-    fn h_free(&mut self, heap: Heap, addr: u64, mem: &mut AddressSpace) -> Result<(), Trap>;
+    fn h_free(&mut self, heap: Heap, addr: u64) -> Result<(), Trap>;
 
-    /// Separation check (§4.5): validate that `addr` lies in `heap`.
+    /// Separation check (§4.5): validate that `addr` lies in `heap`. The
+    /// default passes.
     ///
     /// # Errors
     ///
-    /// Traps with a separation misspeculation on tag mismatch.
-    fn check_heap(&mut self, heap: Heap, addr: u64) -> Result<(), Trap>;
+    /// Speculative implementations trap with a separation misspeculation
+    /// on tag mismatch.
+    fn check_heap(&mut self, heap: Heap, addr: u64) -> Result<(), Trap> {
+        let _ = (heap, addr);
+        Ok(())
+    }
 
-    /// Privacy check before a load of `size` bytes (§4.6).
+    /// Privacy check before a load of `size` bytes (§4.6). The default
+    /// passes.
     ///
     /// # Errors
     ///
-    /// Traps with a privacy misspeculation when the fast phase detects a
-    /// cross-iteration flow dependence.
-    fn private_read(&mut self, addr: u64, size: u64, mem: &mut AddressSpace) -> Result<(), Trap>;
+    /// Speculative implementations trap with a privacy misspeculation
+    /// when the fast phase detects a cross-iteration flow dependence.
+    fn private_read(&mut self, addr: u64, size: u64, mem: &mut AddressSpace) -> Result<(), Trap> {
+        let _ = (addr, size, mem);
+        Ok(())
+    }
 
-    /// Privacy check before a store of `size` bytes (§4.6).
+    /// Privacy check before a store of `size` bytes (§4.6). The default
+    /// passes.
     ///
     /// # Errors
     ///
-    /// Traps with a privacy misspeculation in the conservative
-    /// write-after-read-live-in case (Table 2).
-    fn private_write(&mut self, addr: u64, size: u64, mem: &mut AddressSpace) -> Result<(), Trap>;
+    /// Speculative implementations trap with a privacy misspeculation in
+    /// the conservative write-after-read-live-in case (Table 2).
+    fn private_write(&mut self, addr: u64, size: u64, mem: &mut AddressSpace) -> Result<(), Trap> {
+        let _ = (addr, size, mem);
+        Ok(())
+    }
 
     /// Value-prediction check: `ok` is the predicted condition's outcome.
+    /// The default passes.
     ///
     /// # Errors
     ///
-    /// Traps with a prediction misspeculation when `ok` is false (in
-    /// speculative modes).
-    fn predict(&mut self, ok: bool) -> Result<(), Trap>;
+    /// Speculative implementations trap with a prediction misspeculation
+    /// when `ok` is false.
+    fn predict(&mut self, ok: bool) -> Result<(), Trap> {
+        let _ = ok;
+        Ok(())
+    }
 
-    /// Unconditional misspeculation report.
+    /// Unconditional misspeculation report. The default passes.
     ///
     /// # Errors
     ///
-    /// Always traps in speculative modes.
-    fn misspec(&mut self) -> Result<(), Trap>;
+    /// Speculative implementations always trap.
+    fn misspec(&mut self) -> Result<(), Trap> {
+        Ok(())
+    }
 
     /// Program output (possibly deferred until commit in speculative
     /// modes).
@@ -86,14 +104,8 @@ pub trait RuntimeIface {
     /// # Errors
     ///
     /// Implementations may trap on malformed registrations.
-    fn redux_register(
-        &mut self,
-        op: ReduxOp,
-        addr: u64,
-        size: u64,
-        mem: &mut AddressSpace,
-    ) -> Result<(), Trap> {
-        let _ = (op, addr, size, mem);
+    fn redux_register(&mut self, op: ReduxOp, addr: u64, size: u64) -> Result<(), Trap> {
+        let _ = (op, addr, size);
         Ok(())
     }
 
@@ -120,24 +132,12 @@ pub trait RuntimeIface {
     }
 }
 
-/// How [`BasicRuntime`] treats failed speculation checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckMode {
-    /// Failed checks trap (useful for testing transformed code
-    /// sequentially: a failure indicates a transformation bug or a genuine
-    /// misspeculation).
-    Strict,
-    /// Failed `predict`/`misspec` checks are ignored (used for
-    /// non-speculative re-execution, where the sequential order makes
-    /// speculation irrelevant).
-    Lenient,
-}
-
-/// A sequential runtime: real logical-heap allocation, direct output,
-/// no shadow metadata.
+/// A sequential runtime for untransformed programs: real logical-heap
+/// allocation, direct output, no shadow metadata. Such a program contains
+/// no check intrinsics, so a failed separation, prediction or `misspec()`
+/// check traps here — it can only be a transformation bug.
 #[derive(Debug)]
 pub struct BasicRuntime {
-    mode: CheckMode,
     allocators: HashMap<Heap, RegionAllocator>,
     out: Vec<u8>,
 }
@@ -145,18 +145,7 @@ pub struct BasicRuntime {
 impl BasicRuntime {
     /// A runtime that traps on failed checks.
     pub fn strict() -> BasicRuntime {
-        BasicRuntime::with_mode(CheckMode::Strict)
-    }
-
-    /// A runtime that ignores failed prediction checks.
-    pub fn lenient() -> BasicRuntime {
-        BasicRuntime::with_mode(CheckMode::Lenient)
-    }
-
-    /// Build with an explicit [`CheckMode`].
-    pub fn with_mode(mode: CheckMode) -> BasicRuntime {
         BasicRuntime {
-            mode,
             allocators: HashMap::new(),
             out: Vec::new(),
         }
@@ -182,19 +171,13 @@ impl BasicRuntime {
 }
 
 impl RuntimeIface for BasicRuntime {
-    fn h_alloc(
-        &mut self,
-        heap: Heap,
-        size: u64,
-        _mem: &mut AddressSpace,
-        _site: (FuncId, InstId),
-    ) -> Result<u64, Trap> {
+    fn h_alloc(&mut self, heap: Heap, size: u64) -> Result<u64, Trap> {
         self.allocator(heap)
             .alloc(size)
             .map_err(|_| Trap::OutOfMemory(heap))
     }
 
-    fn h_free(&mut self, heap: Heap, addr: u64, _mem: &mut AddressSpace) -> Result<(), Trap> {
+    fn h_free(&mut self, heap: Heap, addr: u64) -> Result<(), Trap> {
         self.allocator(heap)
             .free(addr)
             .map_err(|e| Trap::AllocError(e.to_string()))
@@ -204,7 +187,7 @@ impl RuntimeIface for BasicRuntime {
         // Null names no object; separation is vacuous (the paper's checks
         // likewise pass NULL through — e.g. the dequeue path guarded by
         // value prediction).
-        if addr == 0 || heap.contains(addr) || self.mode == CheckMode::Lenient {
+        if addr == 0 || heap.contains(addr) {
             Ok(())
         } else {
             Err(Trap::misspec(
@@ -214,26 +197,8 @@ impl RuntimeIface for BasicRuntime {
         }
     }
 
-    fn private_read(
-        &mut self,
-        _addr: u64,
-        _size: u64,
-        _mem: &mut AddressSpace,
-    ) -> Result<(), Trap> {
-        Ok(())
-    }
-
-    fn private_write(
-        &mut self,
-        _addr: u64,
-        _size: u64,
-        _mem: &mut AddressSpace,
-    ) -> Result<(), Trap> {
-        Ok(())
-    }
-
     fn predict(&mut self, ok: bool) -> Result<(), Trap> {
-        if ok || self.mode == CheckMode::Lenient {
+        if ok {
             Ok(())
         } else {
             Err(Trap::misspec(
@@ -244,11 +209,7 @@ impl RuntimeIface for BasicRuntime {
     }
 
     fn misspec(&mut self) -> Result<(), Trap> {
-        if self.mode == CheckMode::Lenient {
-            Ok(())
-        } else {
-            Err(Trap::misspec(MisspecKind::Explicit, "explicit misspec()"))
-        }
+        Err(Trap::misspec(MisspecKind::Explicit, "explicit misspec()"))
     }
 
     fn output(&mut self, bytes: &[u8]) {
@@ -260,16 +221,30 @@ impl RuntimeIface for BasicRuntime {
 mod tests {
     use super::*;
 
+    /// A runtime that overrides nothing but the required methods: the
+    /// trait's non-speculative defaults.
+    struct Inert;
+
+    impl RuntimeIface for Inert {
+        fn h_alloc(&mut self, heap: Heap, _size: u64) -> Result<u64, Trap> {
+            Err(Trap::OutOfMemory(heap))
+        }
+
+        fn h_free(&mut self, _heap: Heap, _addr: u64) -> Result<(), Trap> {
+            Ok(())
+        }
+
+        fn output(&mut self, _bytes: &[u8]) {}
+    }
+
     #[test]
     fn alloc_lands_in_heap_range() {
         let mut rt = BasicRuntime::strict();
-        let mut mem = AddressSpace::new();
-        let site = (FuncId::new(0), InstId::new(0));
-        let p = rt.h_alloc(Heap::Private, 64, &mut mem, site).unwrap();
+        let p = rt.h_alloc(Heap::Private, 64).unwrap();
         assert!(Heap::Private.contains(p));
         rt.check_heap(Heap::Private, p).unwrap();
         assert!(rt.check_heap(Heap::ReadOnly, p).is_err());
-        rt.h_free(Heap::Private, p, &mut mem).unwrap();
+        rt.h_free(Heap::Private, p).unwrap();
     }
 
     #[test]
@@ -279,14 +254,21 @@ mod tests {
     }
 
     #[test]
-    fn strict_vs_lenient_predict() {
+    fn strict_checks_trap_where_defaults_pass() {
         let mut strict = BasicRuntime::strict();
         assert!(strict.predict(false).is_err());
         assert!(strict.predict(true).is_ok());
-        let mut lenient = BasicRuntime::lenient();
-        assert!(lenient.predict(false).is_ok());
-        assert!(lenient.misspec().is_ok());
         assert!(strict.misspec().is_err());
+        let mut inert = Inert;
+        let mut mem = AddressSpace::new();
+        assert!(inert
+            .check_heap(Heap::Private, Heap::ReadOnly.base())
+            .is_ok());
+        assert!(inert.private_read(0x1000, 8, &mut mem).is_ok());
+        assert!(inert.private_write(0x1000, 8, &mut mem).is_ok());
+        assert!(inert.predict(false).is_ok());
+        assert!(inert.misspec().is_ok());
+        assert!(inert.redux_register(ReduxOp::SumI64, 0x1000, 8).is_ok());
     }
 
     #[test]
@@ -302,10 +284,8 @@ mod tests {
     #[test]
     fn distinct_heaps_use_distinct_ranges() {
         let mut rt = BasicRuntime::strict();
-        let mut mem = AddressSpace::new();
-        let site = (FuncId::new(0), InstId::new(0));
-        let p = rt.h_alloc(Heap::Private, 8, &mut mem, site).unwrap();
-        let q = rt.h_alloc(Heap::ShortLived, 8, &mut mem, site).unwrap();
+        let p = rt.h_alloc(Heap::Private, 8).unwrap();
+        let q = rt.h_alloc(Heap::ShortLived, 8).unwrap();
         assert_ne!(p >> 44, q >> 44);
     }
 }
