@@ -28,7 +28,6 @@ fn speedup_with(
         checkpoint_period: period,
         inject_rate: inject,
         inject_seed: 0xab1,
-        ..EngineConfig::default()
     };
     let mut interp = Interp::new(
         &result.module,

@@ -4,10 +4,11 @@
 //! Generates seeded random transformed loops and runs each through the
 //! full execution-mode matrix ([`privateer_fuzz::oracle`]): sequential
 //! baseline, the speculative engine at every requested worker count with
-//! the fast merge and with the reference merge, and seeded
-//! virtual-scheduler interleavings. The first divergence is
+//! the fast merge and with the reference merge, a phase-2 fault run, and
+//! seeded virtual-scheduler interleavings. The first divergence is
 //! shrunk to a minimal case and written as a repro file replayable with
-//! `--replay`.
+//! `--replay`. A campaign in which the injected phase-2 fault never
+//! fired fails too: it tested nothing of the phase-2 recovery path.
 //!
 //! ```text
 //! privfuzz --seed 42 --cases 500
@@ -152,17 +153,22 @@ fn main() -> ExitCode {
     }
 
     outln!(
-        "privfuzz: seed {} · {} cases · workers {:?} × {{fast, reference}} merge · k={} · {} schedule seed(s)",
+        "privfuzz: seed {} · {} cases · workers {:?} × {{fast, reference}} merge · phase-2 fault · k={} · {} schedule seed(s)",
         opts.seed, opts.cases, opts.workers, opts.period, opts.schedule_seeds
     );
     let summary = run_seeded(opts.seed, opts.cases, &oc);
     outln!(
-        "privfuzz: {} case(s) run, {} with misspeculation, {} with genuine traps",
+        "privfuzz: {} case(s) run, {} with misspeculation, {} with genuine traps, {} with a fired phase-2 fault",
         summary.cases,
         summary.cases_with_misspec,
-        summary.cases_trapped
+        summary.cases_trapped,
+        summary.cases_with_fault
     );
     match summary.failure {
+        None if summary.cases_with_fault == 0 => {
+            eprintln!("privfuzz: FAIL: the injected phase-2 fault never fired");
+            ExitCode::FAILURE
+        }
         None => {
             outln!("privfuzz: PASS");
             ExitCode::SUCCESS

@@ -259,7 +259,6 @@ pub fn run_privateer_with_telemetry(
         checkpoint_period: 16,
         inject_rate,
         inject_seed: 0xf19,
-        ..EngineConfig::default()
     };
     let mut interp = Interp::new(
         &result.module,

@@ -159,7 +159,6 @@ fn main() -> ExitCode {
             checkpoint_period: opts.checkpoint_period,
             inject_rate: opts.inject,
             inject_seed: 0xc11,
-            ..EngineConfig::default()
         };
         let mut interp = Interp::new(
             &result.module,

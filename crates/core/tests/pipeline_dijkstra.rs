@@ -67,7 +67,6 @@ fn dijkstra_privatizes_and_parallelizes() {
             checkpoint_period: 4,
             inject_rate: 0.0,
             inject_seed: 1,
-            ..EngineConfig::default()
         };
         let mut interp = Interp::new(tm, &image, NopHooks, MainRuntime::new(&image, cfg));
         interp
@@ -129,7 +128,6 @@ fn dijkstra_parallel_with_injected_misspeculation() {
         checkpoint_period: 4,
         inject_rate: 0.25,
         inject_seed: 33,
-        ..EngineConfig::default()
     };
     let mut interp = Interp::new(
         &result.module,

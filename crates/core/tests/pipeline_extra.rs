@@ -80,7 +80,6 @@ fn two_compatible_hot_loops_both_selected() {
             checkpoint_period: 8,
             inject_rate: 0.0,
             inject_seed: 0,
-            ..EngineConfig::default()
         };
         let mut interp = Interp::new(
             &result.module,
@@ -164,7 +163,6 @@ fn min_max_reductions_merge_correctly() {
             checkpoint_period: 7,
             inject_rate: 0.0,
             inject_seed: 0,
-            ..EngineConfig::default()
         };
         let mut interp = Interp::new(&m, &image, NopHooks, MainRuntime::new(&image, cfg));
         interp.run_main().unwrap();
@@ -334,7 +332,6 @@ fn automatic_min_max_reduction_pipeline() {
             checkpoint_period: 9,
             inject_rate: 0.0,
             inject_seed: 0,
-            ..EngineConfig::default()
         };
         let mut interp = Interp::new(
             &result.module,

@@ -160,7 +160,6 @@ fn recursive_trees_are_short_lived_and_parallelize() {
             checkpoint_period: 6,
             inject_rate: 0.0,
             inject_seed: 0,
-            ..EngineConfig::default()
         };
         let mut interp = Interp::new(
             &result.module,
@@ -189,7 +188,6 @@ fn recursive_trees_survive_misspeculation() {
         checkpoint_period: 4,
         inject_rate: 0.25,
         inject_seed: 5,
-        ..EngineConfig::default()
     };
     let mut interp = Interp::new(
         &result.module,

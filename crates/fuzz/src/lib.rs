@@ -16,11 +16,13 @@
 //!   and deliberate misspeculation: cross-iteration reads, failing
 //!   predictions, wrong-heap pointers, lifetime leaks, genuine faults),
 //!   with a text repro format for replay;
+//! * [`merge`] — phase-2 merges the engine's merge seam accepts in
+//!   tests: the per-address
+//!   [`ReferenceCheckpointMerge`](merge::ReferenceCheckpointMerge)
+//!   oracle and a one-shot fault-injecting merge;
 //! * [`oracle`] — runs one case through the sequential baseline and the
 //!   speculative engine at every configured worker count, each with the
-//!   fast merge and with the
-//!   [`ReferenceCheckpointMerge`](privateer_runtime::checkpoint::ReferenceCheckpointMerge)
-//!   differential mode, and seeded
+//!   fast and the reference merge, plus a phase-2 fault run and seeded
 //!   [`VirtualScheduler`](privateer_runtime::VirtualScheduler)
 //!   interleavings, asserting byte-identical output, identical
 //!   trap decisions, and conserved `EngineStats`/telemetry invariants —
@@ -35,6 +37,7 @@
 //! replay repro files.
 
 pub mod gen;
+pub mod merge;
 pub mod oracle;
 pub mod rng;
 pub mod trace;

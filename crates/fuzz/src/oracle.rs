@@ -6,9 +6,14 @@
 //! 1. the sequential baseline ([`SequentialPlanRuntime`]);
 //! 2. the speculative engine at every worker count in the
 //!    [`OracleConfig`] matrix, once with the dense phase-2 fast path and
-//!    once in [`EngineConfig::reference_merge`] mode, pitting it against
-//!    the simple per-address reference merge inside the full pipeline;
-//! 3. seeded [`VirtualScheduler::random_arrivals`] runs, so
+//!    once with the per-address [`merge::reference`] merge plugged into
+//!    the engine's merge seam, pitting the two inside the full pipeline;
+//! 3. one phase-2 fault run: [`merge::fail_at`] fails the merge of a
+//!    period drawn from the case name (which carries the seed) with a
+//!    privacy misspeculation, so the whole period must recover
+//!    sequentially (the [`CaseReport`] records whether the fault fired:
+//!    an earlier misspeculation can squash the chosen period first);
+//! 4. seeded [`VirtualScheduler::random_arrivals`] runs, so
 //!    contribution-arrival interleavings free-running spans rarely
 //!    produce are explored deterministically.
 //!
@@ -25,12 +30,15 @@
 //! [`RunSummary`] the `privfuzz` CLI and CI smoke tests consume.
 
 use crate::gen::CaseSpec;
+use crate::merge;
+use crate::rng::Rng;
 use privateer_ir::Module;
 use privateer_runtime::{
     EngineConfig, EngineEvent, MainRuntime, SequentialPlanRuntime, VirtualScheduler,
 };
 use privateer_telemetry::Telemetry;
-use privateer_vm::{load_module, Interp, NopHooks};
+use privateer_vm::{load_module, Interp, MisspecKind, NopHooks, Trap};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// The execution-mode matrix a case is checked against.
@@ -76,6 +84,9 @@ pub struct CaseReport {
     pub misspecs: u64,
     /// Whether the sequential baseline ended in a trap (genuine fault).
     pub seq_trapped: bool,
+    /// Whether the phase-2 fault run's injected fault fired; it does
+    /// not when an earlier misspeculation squashes the chosen period.
+    pub fault_fired: bool,
 }
 
 /// Outcome of a [`run_seeded`] campaign.
@@ -87,6 +98,8 @@ pub struct RunSummary {
     pub cases_with_misspec: u64,
     /// Cases whose sequential baseline trapped (genuine faults).
     pub cases_trapped: u64,
+    /// Cases whose phase-2 fault run fired its injected fault.
+    pub cases_with_fault: u64,
     /// The first failure, already shrunk, if any case diverged.
     pub failure: Option<FailureReport>,
 }
@@ -114,13 +127,17 @@ struct EngineRun {
     tel: Telemetry,
 }
 
-fn engine_run(m: &Module, cfg: EngineConfig, sched: Option<Arc<VirtualScheduler>>) -> EngineRun {
+/// Run `m` on the engine, after `configure` has set up the runtime
+/// (merge seam, virtual scheduler).
+fn engine_run(
+    m: &Module,
+    cfg: EngineConfig,
+    configure: impl FnOnce(&mut MainRuntime),
+) -> EngineRun {
     let image = load_module(m);
     let tel = Telemetry::disabled();
     let mut rt = MainRuntime::with_telemetry(&image, cfg, tel.clone());
-    if let Some(s) = sched {
-        rt.set_schedule(s);
-    }
+    configure(&mut rt);
     let mut interp = Interp::new(m, &image, NopHooks, rt);
     let res = interp.run_main();
     EngineRun {
@@ -326,22 +343,26 @@ pub fn check_case(spec: &CaseSpec, oc: &OracleConfig) -> Result<CaseReport, Case
         ..CaseReport::default()
     };
 
-    let base_cfg = |workers: usize, reference_merge: bool| EngineConfig {
+    let base_cfg = |workers: usize| EngineConfig {
         workers,
         checkpoint_period: oc.checkpoint_period,
         inject_rate: 0.0,
         inject_seed: 0,
-        reference_merge,
     };
 
     let mut first = true;
     for &w in &oc.workers {
-        for (reference, merge) in [(false, "fast"), (true, "reference")] {
-            let run = engine_run(&m, base_cfg(w, reference), None);
+        for reference in [false, true] {
+            let run = engine_run(&m, base_cfg(w), |rt| {
+                if reference {
+                    rt.set_merge(merge::reference);
+                }
+            });
             if first {
                 report.misspecs = run.rt.stats.misspecs;
                 first = false;
             }
+            let merge = if reference { "reference" } else { "fast" };
             compare(
                 &format!("workers={w} merge={merge}"),
                 &run,
@@ -355,9 +376,22 @@ pub fn check_case(spec: &CaseSpec, oc: &OracleConfig) -> Result<CaseReport, Case
     let w0 = oc.workers.first().copied().unwrap_or(2);
 
     let periods = (n as u64 + oc.checkpoint_period - 1) / oc.checkpoint_period.max(1);
+    let at = fault_period(spec, periods);
+    let trap = Trap::misspec(MisspecKind::Privacy, "injected phase-2 privacy violation");
+    let (fault, fired) = merge::fail_at(at, trap);
+    let run = engine_run(&m, base_cfg(w0), |rt| rt.set_merge(fault));
+    report.fault_fired = fired.load(Ordering::Relaxed);
+    compare(
+        &format!("workers={w0} merge=fault@{at}"),
+        &run,
+        &seq_result,
+        &seq_out,
+        n,
+    )?;
+
     for s in 0..oc.schedule_seeds {
         let sched = VirtualScheduler::random_arrivals(w0, periods, s);
-        let run = engine_run(&m, base_cfg(w0, false), Some(Arc::clone(&sched)));
+        let run = engine_run(&m, base_cfg(w0), |rt| rt.set_schedule(Arc::clone(&sched)));
         let mode = format!("schedule-seed={s}");
         if sched.timeouts() != 0 {
             return Err(CaseFailure {
@@ -371,6 +405,16 @@ pub fn check_case(spec: &CaseSpec, oc: &OracleConfig) -> Result<CaseReport, Case
         compare(&mode, &run, &seq_result, &seq_out, n)?;
     }
     Ok(report)
+}
+
+/// The period whose merge the phase-2 fault run fails, drawn from the
+/// case name: it carries the generator seed and index, and survives
+/// repro files and shrinking.
+fn fault_period(spec: &CaseSpec, periods: u64) -> u64 {
+    let h = spec.name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    });
+    Rng::new(h).below(periods.max(1))
 }
 
 /// Greedily minimize a failing case: try dropping each statement, then
@@ -428,6 +472,7 @@ pub fn run_seeded(seed: u64, cases: u64, oc: &OracleConfig) -> RunSummary {
         cases: 0,
         cases_with_misspec: 0,
         cases_trapped: 0,
+        cases_with_fault: 0,
         failure: None,
     };
     for index in 0..cases {
@@ -440,6 +485,9 @@ pub fn run_seeded(seed: u64, cases: u64, oc: &OracleConfig) -> RunSummary {
                 }
                 if report.seq_trapped {
                     summary.cases_trapped += 1;
+                }
+                if report.fault_fired {
+                    summary.cases_with_fault += 1;
                 }
             }
             Err(_) => {

@@ -27,6 +27,10 @@ fn seeded_batch_passes_the_differential_oracle() {
         summary.cases_with_misspec > 0,
         "a {CASES}-case batch should provoke at least one misspeculation"
     );
+    assert!(
+        summary.cases_with_fault > 0,
+        "the injected phase-2 fault should fire in a {CASES}-case batch"
+    );
 }
 
 #[test]
@@ -40,6 +44,7 @@ fn campaign_is_reproducible() {
     assert_eq!(a.cases, b.cases);
     assert_eq!(a.cases_with_misspec, b.cases_with_misspec);
     assert_eq!(a.cases_trapped, b.cases_trapped);
+    assert_eq!(a.cases_with_fault, b.cases_with_fault);
     assert!(a.failure.is_none() && b.failure.is_none());
 }
 

@@ -21,24 +21,22 @@
 //!   buffers instead of per-address hash containers, and commit walks
 //!   page runs instead of reassembling byte runs.
 //!
-//! [`ReferenceCheckpointMerge`] retains the original per-address
-//! (`HashMap`/`HashSet`) merge; the proptest suite enforces observational
-//! equivalence between the two, and the criterion benches measure the gap.
-//!
 //! Phase 2 is one ordered merge per checkpoint (§5.2): the engine feeds
 //! a period's contributions, sorted by worker, through
 //! [`CheckpointMerge::add`] and applies the result with
 //! [`CheckpointMerge::commit`]. Within a contribution bytes are scanned
-//! in ascending address order, so the first trap is deterministic.
+//! in ascending address order, so the first trap is deterministic. The
+//! engine reaches the merge through the [`PeriodMerge`] trait; the
+//! per-address reference merge the proptest suite and the `privfuzz`
+//! oracle pit against [`CheckpointMerge`] lives in `privateer-fuzz`.
 
 use crate::shadow;
 use privateer_ir::inst::SHADOW_BIT;
 use privateer_ir::Heap;
 use privateer_telemetry::{Phase, WorkerTelemetry};
 use privateer_vm::{AddressSpace, MisspecKind, Page, Trap, PAGE_SIZE};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One worker's speculative state for one checkpoint period.
 #[derive(Debug, Clone)]
@@ -181,7 +179,7 @@ impl DeltaTracker {
         io: Vec<(i64, Vec<u8>)>,
         tel: &mut WorkerTelemetry,
     ) -> Contribution {
-        let t0 = Instant::now();
+        let t0 = tel.start();
         let priv_lo = Heap::Private.base();
         let shadow_lo = priv_lo | SHADOW_BIT;
         let shadow_hi = shadow_lo + crate::heaps::HEAP_SPAN;
@@ -223,7 +221,7 @@ impl DeltaTracker {
             period as i64,
             (contrib.shadow_pages.len() + contrib.priv_pages.len()) as i64,
         );
-        let tn = Instant::now();
+        let tn = tel.start();
         crate::worker::WorkerRuntime::normalize_shadow(mem);
         self.shadow_snap = mem
             .pages_in_range(shadow_lo, shadow_hi)
@@ -465,144 +463,44 @@ fn merge_word(
     Ok(())
 }
 
-/// The retained per-address reference merge (the pre-dense hot path).
-///
-/// Kept public so the proptest equivalence suite and the
-/// `privateer-bench` comparison benches can pit [`CheckpointMerge`]
-/// against it; both must produce byte-identical committed memory and
-/// shadow marks, identically ordered I/O, and identical traps for the
-/// same contributions in the same order.
-#[derive(Debug, Default)]
-pub struct ReferenceCheckpointMerge {
-    /// Byte address → (timestamp, value): the latest write this period.
-    written: HashMap<u64, (u8, u8)>,
-    /// Bytes some worker read as live-in this period.
-    read_live_in: HashSet<u64>,
-    /// Deferred output gathered from all workers.
-    io: Vec<(i64, Vec<u8>)>,
-    /// Reduction images per object per worker (worker-cumulative).
-    pub redux_images: Vec<Vec<Vec<u8>>>,
-}
-
-impl ReferenceCheckpointMerge {
-    /// Empty merge state expecting `redux_objects` registered reductions.
-    pub fn new(redux_objects: usize) -> ReferenceCheckpointMerge {
-        ReferenceCheckpointMerge {
-            redux_images: vec![Vec::new(); redux_objects],
-            ..ReferenceCheckpointMerge::default()
-        }
-    }
-
-    /// Merge one worker's contribution, validating privacy against the
-    /// committed metadata in `committed` (phase 2).
+/// One period's phase-2 merge as the engine drives it: the period's
+/// contributions go through [`add`](Self::add) in worker order, then one
+/// [`commit`](Self::commit) applies the result. [`CheckpointMerge`] is
+/// the engine's merge; tests plug in others (a reference oracle, fault
+/// injection) through the engine's per-period merge factory.
+pub trait PeriodMerge {
+    /// Merge one worker's contribution, validating it against the
+    /// committed metadata in `committed`.
     ///
     /// # Errors
     ///
-    /// Traps with a privacy misspeculation on a cross-worker
-    /// read-of-earlier-write or the conservative read/write conflict.
-    pub fn add(&mut self, contrib: Contribution, committed: &AddressSpace) -> Result<(), Trap> {
-        let priv_lookup: HashMap<u64, &Arc<Page>> = contrib
-            .priv_pages
-            .iter()
-            .map(|(base, p)| (*base, p))
-            .collect();
-        for (sbase, spage) in &contrib.shadow_pages {
-            let pbase = *sbase & !SHADOW_BIT;
-            for (wi, group) in spage.chunks_exact(8).enumerate() {
-                let w = u64::from_le_bytes(group.try_into().unwrap());
-                if shadow::word::all_le_old_write(w) {
-                    continue;
-                }
-                self.add_word(wi, group, pbase, &priv_lookup, committed)?;
-            }
-        }
-        for (i, img) in contrib.redux_images.into_iter().enumerate() {
-            self.redux_images[i].push(img);
-        }
-        self.io.extend(contrib.io);
-        Ok(())
-    }
-
-    /// Merge one 8-byte shadow word known to contain at least one touched
-    /// byte (the per-byte path of [`Self::add`]).
-    fn add_word(
-        &mut self,
-        wi: usize,
-        group: &[u8],
-        pbase: u64,
-        priv_lookup: &HashMap<u64, &Arc<Page>>,
-        committed: &AddressSpace,
-    ) -> Result<(), Trap> {
-        for (bi, &meta) in group.iter().enumerate() {
-            if meta <= shadow::OLD_WRITE {
-                continue;
-            }
-            let baddr = pbase + (wi * 8 + bi) as u64;
-            if meta == shadow::READ_LIVE_IN {
-                if committed.read_u8(baddr | SHADOW_BIT) == shadow::OLD_WRITE {
-                    return Err(privacy(
-                        baddr,
-                        "read of a value committed by an earlier iteration (stale live-in)",
-                    ));
-                }
-                if self.written.contains_key(&baddr) {
-                    return Err(privacy(
-                        baddr,
-                        "cross-worker read/write conflict on a live-in byte (conservative)",
-                    ));
-                }
-                self.read_live_in.insert(baddr);
-            } else {
-                if self.read_live_in.contains(&baddr) {
-                    return Err(privacy(
-                        baddr,
-                        "cross-worker read/write conflict on a live-in byte (conservative)",
-                    ));
-                }
-                let value = priv_lookup
-                    .get(&(baddr & !(PAGE_SIZE - 1)))
-                    .map(|p| p[(baddr & (PAGE_SIZE - 1)) as usize])
-                    .unwrap_or(0);
-                match self.written.get(&baddr) {
-                    Some(&(prev_ts, _)) if prev_ts >= meta => {}
-                    _ => {
-                        self.written.insert(baddr, (meta, value));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
+    /// A misspeculation sends the whole period through recovery; any
+    /// other trap aborts the span.
+    fn add(&mut self, contrib: Contribution, committed: &AddressSpace) -> Result<(), Trap>;
     /// Number of private bytes written this period.
-    pub fn written_bytes(&self) -> usize {
-        self.written.len()
+    fn written_bytes(&self) -> usize;
+    /// Reduction images per object, one per contribution in merge order.
+    fn redux_images(&self) -> &[Vec<Vec<u8>>];
+    /// Apply the merged state onto `mem` and return the period's deferred
+    /// output in iteration order.
+    fn commit(self: Box<Self>, mem: &mut AddressSpace) -> Vec<(i64, Vec<u8>)>;
+}
+
+impl PeriodMerge for CheckpointMerge {
+    fn add(&mut self, contrib: Contribution, committed: &AddressSpace) -> Result<(), Trap> {
+        CheckpointMerge::add(self, contrib, committed)
     }
 
-    /// Commit the merged state: apply the latest write per byte onto
-    /// `mem`, mark those bytes old-write in the committed shadow, and
-    /// return the deferred output in iteration order.
-    pub fn commit(self, mem: &mut AddressSpace) -> Vec<(i64, Vec<u8>)> {
-        // Batch consecutive bytes for fewer page operations.
-        let mut bytes: Vec<(u64, u8)> = self.written.iter().map(|(&a, &(_, v))| (a, v)).collect();
-        bytes.sort_unstable_by_key(|&(a, _)| a);
-        let mut i = 0;
-        while i < bytes.len() {
-            let start = bytes[i].0;
-            let mut run = vec![bytes[i].1];
-            let mut j = i + 1;
-            while j < bytes.len() && bytes[j].0 == start + run.len() as u64 {
-                run.push(bytes[j].1);
-                j += 1;
-            }
-            mem.write_bytes(start, &run);
-            let marks = vec![shadow::OLD_WRITE; run.len()];
-            mem.write_bytes(start | SHADOW_BIT, &marks);
-            i = j;
-        }
-        let mut io = self.io;
-        io.sort_by_key(|a| a.0);
-        io
+    fn written_bytes(&self) -> usize {
+        self.written
+    }
+
+    fn redux_images(&self) -> &[Vec<Vec<u8>>] {
+        &self.redux_images
+    }
+
+    fn commit(self: Box<Self>, mem: &mut AddressSpace) -> Vec<(i64, Vec<u8>)> {
+        CheckpointMerge::commit(*self, mem)
     }
 }
 

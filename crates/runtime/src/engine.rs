@@ -9,9 +9,11 @@
 //! checkpoint objects every `k` iterations without barriers, and a
 //! misspeculation squashes uncommitted periods, triggers sequential
 //! recovery from the last valid checkpoint, and resumes parallel
-//! execution.
+//! execution. The commit policy itself is the thread-free
+//! `PeriodCommitter` state machine; [`MainRuntime`] forks, spawns and
+//! feeds it the workers' messages.
 
-use crate::checkpoint::{CheckpointMerge, Contribution, DeltaTracker, ReferenceCheckpointMerge};
+use crate::checkpoint::{CheckpointMerge, Contribution, DeltaTracker, PeriodMerge};
 use crate::heaps::SharedHeaps;
 use crate::model::{self, SimCost};
 use crate::schedule::{SchedPoint, VirtualScheduler};
@@ -25,7 +27,9 @@ use privateer_telemetry::{
 };
 use privateer_vm::interp::{Interp, ProgramImage};
 use privateer_vm::{AddressSpace, MisspecKind, NopHooks, RuntimeIface, Trap, Val};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
@@ -42,12 +46,6 @@ pub struct EngineConfig {
     pub inject_rate: f64,
     /// Seed for deterministic injection.
     pub inject_seed: u64,
-    /// Differential-testing mode: merge every period with the simple
-    /// per-address [`ReferenceCheckpointMerge`] instead of the dense
-    /// fast path [`CheckpointMerge`]. Commits, traps and I/O must be
-    /// byte-identical to the fast path — the `privfuzz` oracle pits the
-    /// two against each other inside the full engine.
-    pub reference_merge: bool,
 }
 
 impl Default for EngineConfig {
@@ -57,7 +55,6 @@ impl Default for EngineConfig {
             checkpoint_period: 64,
             inject_rate: 0.0,
             inject_seed: 0x5eed,
-            reference_merge: false,
         }
     }
 }
@@ -111,7 +108,8 @@ pub enum EngineEvent {
 pub struct EngineStats {
     /// Parallel-region invocations.
     pub invocations: u64,
-    /// Checkpoints constructed (committed or squashed).
+    /// Checkpoint merges attempted: committed, or failed in phase 2. A
+    /// period squashed before its merge is not counted.
     pub checkpoints: u64,
     /// Bytes validated by `private_read` across all workers.
     pub priv_read_bytes: u64,
@@ -123,26 +121,6 @@ pub struct EngineStats {
     pub recovered_iters: u64,
     /// Iterations executed speculatively (including squashed work).
     pub iters_speculative: u64,
-    /// Wall-clock time of parallel invocations (ns).
-    pub wall_ns: u64,
-    /// `workers × wall` of parallel spans *plus* `workers ×` recovery
-    /// wall — total computational capacity, counting the capacity the
-    /// machine holds idle while serial recovery stalls the pipeline.
-    pub capacity_ns: u64,
-    /// Σ worker time executing the loop body, checks included (ns).
-    pub body_ns: u64,
-    /// Σ worker time in `private_read` validation (ns).
-    pub priv_read_ns: u64,
-    /// Σ worker time in `private_write` validation (ns).
-    pub priv_write_ns: u64,
-    /// Σ worker checkpoint-packaging time + engine merge time (ns),
-    /// including merge attempts that failed (a phase-2 violation or an
-    /// internal merge fault) — the drain path is checkpoint work too.
-    pub checkpoint_ns: u64,
-    /// Wall-clock time of sequential misspeculation recovery (ns). The
-    /// whole machine is held while recovery runs, so this window also
-    /// contributes `workers ×` its duration to [`Self::capacity_ns`].
-    pub recovery_ns: u64,
     /// Σ 8-byte shadow words handled by the word-granular (SWAR) privacy
     /// fast path across all workers.
     pub priv_fast_words: u64,
@@ -165,32 +143,6 @@ pub struct EngineStats {
     pub sim: SimCost,
 }
 
-impl EngineStats {
-    /// The wall-clock utilization breakdown as fractions of total
-    /// capacity: `(useful, private read, private write, checkpoint,
-    /// recovery, spawn/join)`.
-    ///
-    /// `checkpoint` includes failed merge attempts (the merge-fault drain
-    /// path), and `recovery` is the serial re-execution's share of the
-    /// held capacity; the `(workers - 1)` idle shares during a recovery
-    /// window surface in the `spawn/join` residual along with fork and
-    /// scheduling slack. Earlier versions dropped both of these into the
-    /// residual, overstating spawn/join whenever misspeculation occurred.
-    pub fn breakdown(&self) -> (f64, f64, f64, f64, f64, f64) {
-        let cap = self.capacity_ns.max(1) as f64;
-        let useful = self
-            .body_ns
-            .saturating_sub(self.priv_read_ns + self.priv_write_ns) as f64
-            / cap;
-        let pr = self.priv_read_ns as f64 / cap;
-        let pw = self.priv_write_ns as f64 / cap;
-        let ck = self.checkpoint_ns as f64 / cap;
-        let rec = self.recovery_ns as f64 / cap;
-        let spawn_join = (1.0 - useful - pr - pw - ck - rec).max(0.0);
-        (useful, pr, pw, ck, rec, spawn_join)
-    }
-}
-
 enum Msg {
     Contribution(Box<Contribution>),
     Misspec {
@@ -203,6 +155,7 @@ enum Msg {
     },
 }
 
+#[derive(Debug, PartialEq)]
 enum SpanOutcome {
     Complete,
     Misspec { iter: i64, resume_base: i64 },
@@ -264,68 +217,261 @@ fn push_event(tel: &Telemetry, events: &mut Vec<Stamped<EngineEvent>>, event: En
     events.push(tel.stamp(event));
 }
 
-/// The phase-2 merge state of one period: the dense fast path, or the
-/// per-address reference merge in differential mode
-/// ([`EngineConfig::reference_merge`]). Both take the same add → commit
-/// sequence.
-enum PeriodMerge {
-    Fast(CheckpointMerge),
-    Reference(ReferenceCheckpointMerge),
+/// The engine's default phase-2 merge: a [`CheckpointMerge`] per period.
+fn checkpoint_merge(_period: u64, redux_objects: usize) -> Box<dyn PeriodMerge> {
+    Box::new(CheckpointMerge::new(redux_objects))
 }
 
-impl PeriodMerge {
-    fn add(&mut self, contrib: Contribution, committed: &AddressSpace) -> Result<(), Trap> {
-        match self {
-            PeriodMerge::Fast(m) => m.add(contrib, committed),
-            PeriodMerge::Reference(m) => m.add(contrib, committed),
-        }
-    }
+/// Builds each period's phase-2 merge from the period index and the
+/// number of registered reductions (see [`MainRuntime::set_merge`]).
+struct MergeFactory(Box<dyn FnMut(u64, usize) -> Box<dyn PeriodMerge> + Send + Sync>);
 
-    fn written_bytes(&self) -> usize {
-        match self {
-            PeriodMerge::Fast(m) => m.written_bytes(),
-            PeriodMerge::Reference(m) => m.written_bytes(),
-        }
-    }
-
-    /// Reduction images per object, one per contribution in merge order.
-    fn redux_images(&self) -> &[Vec<Vec<u8>>] {
-        match self {
-            PeriodMerge::Fast(m) => &m.redux_images,
-            PeriodMerge::Reference(m) => &m.redux_images,
-        }
-    }
-
-    fn commit(self, mem: &mut AddressSpace) -> Vec<(i64, Vec<u8>)> {
-        match self {
-            PeriodMerge::Fast(m) => m.commit(mem),
-            PeriodMerge::Reference(m) => m.commit(mem),
-        }
+impl std::fmt::Debug for MergeFactory {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("MergeFactory")
     }
 }
 
-/// Drop every pending contribution for periods `>= first_bad` (they can
-/// never commit once that period misspeculated) and return the number of
-/// pages released. Freeing eagerly matters: the squashed contributions
-/// pin page `Arc`s — and with them whole COW page chains — that would
-/// otherwise survive until the span's workers join.
-fn prune_squashed(pending: &mut BTreeMap<u64, Vec<Contribution>>, first_bad: u64) -> u64 {
-    let squashed = pending.split_off(&first_bad);
-    squashed
-        .values()
-        .flat_map(|v| v.iter())
-        .map(|c| c.page_count() as u64)
-        .sum()
+/// The counts one span adds to [`EngineStats`] and the registry.
+#[derive(Debug, Default)]
+struct SpanTally {
+    checkpoints: u64,
+    misspecs: u64,
+    squashed_pages: u64,
 }
 
-/// Whether a contribution arriving for `period` is already known dead —
-/// the merge bailed on an internal fault, or a misspeculation at
-/// iteration `misspec_iter` squashed that period and everything after it.
-/// Such a contribution is dropped on arrival instead of being pinned in
-/// the pending map until the span's workers join (the arrival-side twin
-/// of [`prune_squashed`]).
-fn arrival_squashed(bailed: bool, misspec_iter: Option<i64>, period: u64, lo: i64, k: i64) -> bool {
-    bailed || misspec_iter.is_some_and(|m| period as i64 >= (m - lo) / k)
+/// The commit policy of one parallel span (§5, Figure 5), as a state
+/// machine with no threads: contributions buffer until their period is
+/// complete; periods merge and commit strictly in order, so phase-2
+/// validation sees the committed metadata of every earlier period;
+/// everything at or after the earliest misspeculation is squashed, its
+/// pages released at once; an internal merge fault bails out of
+/// committing while the engine still drains every worker's `Done`.
+struct PeriodCommitter {
+    lo: i64,
+    hi: i64,
+    k: i64,
+    workers: usize,
+    done: usize,
+    pending: BTreeMap<u64, Vec<Contribution>>,
+    next_commit: u64,
+    earliest: Option<(i64, MisspecKind)>,
+    bailed: Option<Trap>,
+    /// First uncommitted iteration.
+    committed_through: i64,
+    redux: Vec<(ReduxOp, u64, u64)>,
+    /// Reduction values before the span; workers start from the identity.
+    pre_redux: Vec<Vec<u8>>,
+    /// Simulated merge cycles of the committed periods.
+    merge_sim: u64,
+    tally: SpanTally,
+    /// Committed output and Figure 5 events, handed to the engine when
+    /// the span ends.
+    out: Vec<u8>,
+    events: Vec<Stamped<EngineEvent>>,
+    tel: Telemetry,
+    merge_ns: Histogram,
+}
+
+impl PeriodCommitter {
+    /// A committer for the span `lo..hi` of `workers` workers and
+    /// `k`-iteration periods, over the committed space `committed`;
+    /// each merge attempt's time goes to `merge_ns`.
+    fn new(
+        span: Range<i64>,
+        k: i64,
+        workers: usize,
+        redux: Vec<(ReduxOp, u64, u64)>,
+        committed: &AddressSpace,
+        tel: Telemetry,
+        merge_ns: Histogram,
+    ) -> PeriodCommitter {
+        let Range { start: lo, end: hi } = span;
+        let pre_redux = redux
+            .iter()
+            .map(|&(_, addr, size)| {
+                let mut buf = vec![0u8; size as usize];
+                committed.read_bytes(addr, &mut buf);
+                buf
+            })
+            .collect();
+        PeriodCommitter {
+            lo,
+            hi,
+            k,
+            workers,
+            done: 0,
+            pending: BTreeMap::new(),
+            next_commit: 0,
+            earliest: None,
+            bailed: None,
+            committed_through: lo,
+            redux,
+            pre_redux,
+            merge_sim: 0,
+            tally: SpanTally::default(),
+            out: Vec::new(),
+            events: Vec::new(),
+            tel,
+            merge_ns,
+        }
+    }
+
+    /// The first period the earliest misspeculation squashes.
+    fn bad_period(&self) -> Option<u64> {
+        self.earliest
+            .map(|(m, _)| ((m - self.lo) / self.k).max(0) as u64)
+    }
+
+    /// The iteration at which workers must stop: `lo` after a bail, else
+    /// the earliest misspeculation (`i64::MAX` for none).
+    fn stop_iter(&self) -> i64 {
+        match (&self.bailed, self.earliest) {
+            (Some(_), _) => self.lo,
+            (None, Some((m, _))) => m,
+            (None, None) => i64::MAX,
+        }
+    }
+
+    /// Whether every worker has sent its `Done`.
+    fn finished(&self) -> bool {
+        self.done == self.workers
+    }
+
+    /// Buffer a contribution, or drop it on arrival when its period is
+    /// already squashed (or the span bailed) instead of pinning its pages
+    /// until the workers join.
+    fn contribution(&mut self, c: Contribution) {
+        if self.bailed.is_some() || self.bad_period().is_some_and(|bp| c.period >= bp) {
+            self.tally.squashed_pages += c.page_count() as u64;
+        } else {
+            self.pending.entry(c.period).or_default().push(c);
+        }
+    }
+
+    /// A misspeculation at `iter`, from a worker or from phase 2. The
+    /// detection event is emitted the moment the earliest bound tightens
+    /// (Figure 5 shows detection at detection time, not at worker drain),
+    /// and the periods it squashes release their buffered pages now.
+    fn misspec(&mut self, iter: i64, kind: MisspecKind) {
+        self.tally.misspecs += 1;
+        if self.earliest.is_none_or(|(e, _)| iter < e) {
+            self.earliest = Some((iter, kind));
+            push_event(
+                &self.tel,
+                &mut self.events,
+                EngineEvent::MisspecDetected { iter, kind },
+            );
+        }
+        if let Some(first_bad) = self.bad_period() {
+            self.squash_from(first_bad);
+        }
+    }
+
+    /// A worker finished and sent its stats.
+    fn worker_done(&mut self) {
+        self.done += 1;
+    }
+
+    /// Drop every buffered contribution for periods `>= first_bad`: they
+    /// can never commit, and their page `Arc`s — with them whole COW
+    /// page chains — would otherwise survive until the workers join.
+    fn squash_from(&mut self, first_bad: u64) {
+        let squashed = self.pending.split_off(&first_bad);
+        self.tally.squashed_pages += squashed
+            .values()
+            .flatten()
+            .map(|c| c.page_count() as u64)
+            .sum::<u64>();
+    }
+
+    /// Merge and commit every fully contributed period in order into
+    /// `mem`, stopping at (and never committing) a misspeculated period.
+    /// `new_merge` builds each period's merge.
+    fn commit_ready(
+        &mut self,
+        mem: &mut AddressSpace,
+        new_merge: &mut dyn FnMut(u64, usize) -> Box<dyn PeriodMerge>,
+    ) {
+        while self.bailed.is_none() && self.bad_period().is_none_or(|bp| self.next_commit < bp) {
+            let period = self.next_commit;
+            let mut contribs = match self.pending.entry(period) {
+                Entry::Occupied(e) if e.get().len() == self.workers => e.remove(),
+                _ => break,
+            };
+            // Canonical merge order: sorting by worker id makes trap
+            // selection and reduction folds deterministic.
+            contribs.sort_by_key(|c| c.worker);
+            let t0 = Instant::now();
+            let n_contribs = contribs.len() as i64;
+            let pages: u64 = contribs.iter().map(|c| c.page_count() as u64).sum();
+            let mut merge = new_merge(period, self.redux.len());
+            let failed = contribs
+                .into_iter()
+                .try_for_each(|c| merge.add(c, mem))
+                .err();
+            self.tel
+                .span_since(Phase::Merge, Some(t0), period as i64, n_contribs);
+            self.tally.checkpoints += 1;
+            let base = self.lo + period as i64 * self.k;
+            let end = (base + self.k).min(self.hi);
+            match failed {
+                // Phase-2 violation: the whole period re-executes.
+                Some(Trap::Misspec(m)) => self.misspec(end - 1, m.kind),
+                // Stop committing; the engine keeps draining the channel,
+                // since every worker still owes its `Done` stats.
+                Some(other) => {
+                    self.bailed = Some(other);
+                    self.squash_from(0);
+                }
+                None => {
+                    self.merge_sim += merge.written_bytes() as u64 * model::MERGE_BYTE
+                        + pages * model::MERGE_PAGE;
+                    let tc = self.tel.start();
+                    // Commit reductions: pre ⊕ fold(worker images), folded
+                    // in worker order.
+                    for (i, &(op, addr, _)) in self.redux.iter().enumerate() {
+                        let mut acc = self.pre_redux[i].clone();
+                        for img in &merge.redux_images()[i] {
+                            combine_images(op, &mut acc, img);
+                        }
+                        mem.write_bytes(addr, &acc);
+                    }
+                    // Commit the merged bytes; the period's I/O retires in
+                    // iteration order.
+                    for (_, bytes) in merge.commit(mem) {
+                        self.out.extend(bytes);
+                    }
+                    self.tel.span_since(Phase::Commit, tc, period as i64, 0);
+                    self.committed_through = end;
+                    push_event(
+                        &self.tel,
+                        &mut self.events,
+                        EngineEvent::CheckpointCommitted { period, base, end },
+                    );
+                    self.next_commit += 1;
+                }
+            }
+            // Failed attempts count too: they are checkpoint work.
+            self.merge_ns.record(t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// The span's result: the bail trap, the earliest misspeculation
+    /// with the first uncommitted iteration to recover from, or
+    /// completion.
+    fn outcome(self) -> Result<SpanOutcome, Trap> {
+        if let Some(trap) = self.bailed {
+            return Err(trap);
+        }
+        Ok(match self.earliest {
+            Some((iter, _)) => SpanOutcome::Misspec {
+                iter,
+                resume_base: self.committed_through,
+            },
+            None => SpanOutcome::Complete,
+        })
+    }
 }
 
 /// The main-process runtime: shared-heap allocation plus the speculative
@@ -349,7 +495,7 @@ pub struct MainRuntime {
     metrics: EngineMetrics,
     redux: Vec<(ReduxOp, u64, u64)>,
     out: Vec<u8>,
-    merge_fault: Option<(u64, Trap)>,
+    merge: MergeFactory,
     sched: Option<Arc<VirtualScheduler>>,
 }
 
@@ -373,7 +519,7 @@ impl MainRuntime {
             metrics,
             redux: Vec::new(),
             out: Vec::new(),
-            merge_fault: None,
+            merge: MergeFactory(Box::new(checkpoint_merge)),
             sched: None,
         }
     }
@@ -383,20 +529,24 @@ impl MainRuntime {
         self.tel.trace()
     }
 
-    /// Fault-injection hook for tests: fail the phase-2 merge of `period`
-    /// with `trap`. A misspeculation sends the whole period through
-    /// recovery; any other trap bails out of the span. One-shot — clears
-    /// itself when it fires, so a resumed span (whose periods renumber
-    /// from zero) is unaffected.
+    /// Test seam: build each period's phase-2 merge with `factory`, which
+    /// receives the period index (renumbered from zero in every span) and
+    /// the number of registered reductions. The default builds a
+    /// `CheckpointMerge`; `privateer-fuzz` supplies the reference merge
+    /// and a fault-injecting one.
     #[doc(hidden)]
-    pub fn fail_merge_at(&mut self, period: u64, trap: Trap) {
-        self.merge_fault = Some((period, trap));
+    pub fn set_merge(
+        &mut self,
+        factory: impl FnMut(u64, usize) -> Box<dyn PeriodMerge> + Send + Sync + 'static,
+    ) {
+        self.merge = MergeFactory(Box::new(factory));
     }
 
     /// Attach a [`VirtualScheduler`]: worker iterations, contribution
-    /// sends and misspeculation publications then rendezvous on the scheduler's script, making a chosen interleaving
-    /// deterministic and replayable (see [`crate::schedule`]). The
-    /// scheduler applies to every subsequent invocation until replaced.
+    /// sends and misspeculation publications then rendezvous on the
+    /// scheduler's script, making a chosen interleaving deterministic and
+    /// replayable (see [`crate::schedule`]). The scheduler applies to
+    /// every subsequent invocation until replaced.
     pub fn set_schedule(&mut self, sched: Arc<VirtualScheduler>) {
         self.sched = Some(sched);
     }
@@ -426,22 +576,24 @@ impl MainRuntime {
     ) -> Result<SpanOutcome, Trap> {
         let w_count = self.cfg.workers.max(1);
         let k = self.cfg.checkpoint_period.clamp(1, MAX_PERIOD) as i64;
-        let span_t0 = Instant::now();
+        let span_t0 = self.tel.start();
 
         // Fresh live-in metadata for this span.
         let shadow_lo = Heap::Private.base() | SHADOW_BIT;
         mem.clear_range(shadow_lo, shadow_lo + crate::heaps::HEAP_SPAN);
 
-        // Pre-span reduction values; workers start from the identity.
+        // The committer keeps the pre-span reduction values; workers start
+        // from the identity.
         let redux = self.redux.clone();
-        let pre_redux: Vec<Vec<u8>> = redux
-            .iter()
-            .map(|&(_, addr, size)| {
-                let mut buf = vec![0u8; size as usize];
-                mem.read_bytes(addr, &mut buf);
-                buf
-            })
-            .collect();
+        let mut committer = PeriodCommitter::new(
+            lo..hi,
+            k,
+            w_count,
+            redux.clone(),
+            mem,
+            self.tel.clone(),
+            self.metrics.merge_ns.clone(),
+        );
         let mut base = mem.fork();
         for &(op, addr, size) in &redux {
             let ident = op.identity_bytes();
@@ -452,26 +604,19 @@ impl MainRuntime {
             base.write_bytes(addr, &image);
         }
 
-        // Earliest misspeculated iteration, shared with workers.
+        // Earliest iteration workers must stop at, shared with them.
         let flag = AtomicI64::new(i64::MAX);
         let (tx, rx) = mpsc::channel::<Msg>();
         let cfg = self.cfg;
-        let tel = self.tel.clone();
-        let sched = self.sched.clone();
-
-        let mut outcome: Result<SpanOutcome, Trap> = Ok(SpanOutcome::Complete);
-        let mut committed_through = lo; // first uncommitted iteration
         let mut max_busy = 0u64;
-        let mut merge_sim = 0u64;
 
         std::thread::scope(|scope| {
             for w in 0..w_count {
                 let worker_mem = base.fork();
                 let tx = tx.clone();
-                let flag = &flag;
-                let redux = redux.clone();
-                let wtel = tel.worker(w as u32 + 1);
-                let wsched = sched.clone();
+                let (flag, redux) = (&flag, &redux);
+                let wtel = self.tel.worker(w as u32 + 1);
+                let wsched = self.sched.clone();
                 scope.spawn(move || {
                     worker_main(
                         w,
@@ -484,7 +629,7 @@ impl MainRuntime {
                         k,
                         cfg,
                         worker_mem,
-                        &redux,
+                        redux,
                         tx,
                         flag,
                         wtel,
@@ -494,267 +639,70 @@ impl MainRuntime {
             }
             drop(tx);
 
-            // Collection loop: merge checkpoints strictly in period order so
-            // phase-2 validation sees the committed metadata of every
-            // earlier period.
-            let n_periods = ((hi - lo) + k - 1) / k;
-            let mut pending: BTreeMap<u64, Vec<Contribution>> = BTreeMap::new();
-            let mut next_commit: u64 = 0;
-            let mut earliest: Option<(i64, MisspecKind)> = None;
-            let mut done = 0usize;
-            let mut bailed = false;
-            let mut merge_ns = 0u64;
-
-            // Record a misspeculation the moment it is first observed (the
-            // Figure 5 timeline shows detection at detection time, not at
-            // worker drain), improving the earliest-iteration bound and
-            // re-emitting only when the bound actually tightens.
-            let note_misspec = |earliest: &mut Option<(i64, MisspecKind)>,
-                                events: &mut Vec<Stamped<EngineEvent>>,
-                                iter: i64,
-                                kind| {
-                flag.fetch_min(iter, Ordering::SeqCst);
-                match earliest {
-                    Some((e, _)) if *e <= iter => {}
-                    _ => {
-                        *earliest = Some((iter, kind));
-                        push_event(&tel, events, EngineEvent::MisspecDetected { iter, kind });
+            while !committer.finished() {
+                match rx.recv().expect("workers hold the sender") {
+                    Msg::Contribution(c) => committer.contribution(*c),
+                    Msg::Misspec { iter, kind } => committer.misspec(iter, kind),
+                    Msg::Done { stats, tel } => {
+                        committer.worker_done();
+                        max_busy = max_busy.max(self.absorb_worker(stats, tel));
                     }
                 }
-            };
-
-            while done < w_count {
-                let msg = rx.recv().expect("workers hold the sender");
-                match msg {
-                    Msg::Contribution(c) => {
-                        // A contribution for a period at or after a known
-                        // misspeculation can never commit: drop it on
-                        // arrival instead of pinning its pages in
-                        // `pending` until the workers join.
-                        let squashed =
-                            arrival_squashed(bailed, earliest.map(|(m, _)| m), c.period, lo, k);
-                        if squashed {
-                            let pages = c.page_count() as u64;
-                            self.stats.squashed_pages_dropped += pages;
-                            self.metrics.squashed_pages.add(pages);
-                        } else {
-                            pending.entry(c.period).or_default().push(*c);
-                        }
-                    }
-                    Msg::Misspec { iter, kind } => {
-                        self.stats.misspecs += 1;
-                        self.metrics.misspecs.add(1);
-                        note_misspec(&mut earliest, &mut self.events, iter, kind);
-                        // Periods at or after the misspeculated one are
-                        // squashed: release their buffered pages now.
-                        if let Some((m, _)) = earliest {
-                            let dropped =
-                                prune_squashed(&mut pending, ((m - lo) / k).max(0) as u64);
-                            if dropped > 0 {
-                                self.stats.squashed_pages_dropped += dropped;
-                                self.metrics.squashed_pages.add(dropped);
-                            }
-                        }
-                    }
-                    Msg::Done { stats, tel: wtel } => {
-                        done += 1;
-                        self.stats.body_ns += stats.body_ns;
-                        self.stats.priv_read_ns += stats.priv_read_ns;
-                        self.stats.priv_write_ns += stats.priv_write_ns;
-                        self.stats.priv_read_bytes += stats.priv_read_bytes;
-                        self.stats.priv_write_bytes += stats.priv_write_bytes;
-                        self.stats.checkpoint_ns += stats.checkpoint_ns;
-                        // The registry counters are the source of truth
-                        // for these totals; the stats fields are snapshot
-                        // views refreshed at each drain.
-                        self.metrics.priv_fast_words.add(stats.priv_fast_words);
-                        self.metrics.priv_slow_bytes.add(stats.priv_slow_bytes);
-                        self.metrics.contrib_pages.add(stats.contrib_pages);
-                        self.stats.priv_fast_words = self.metrics.priv_fast_words.get();
-                        self.stats.priv_slow_bytes = self.metrics.priv_slow_bytes.get();
-                        self.stats.contrib_pages = self.metrics.contrib_pages.get();
-                        self.tel.absorb(wtel);
-                        self.stats.iters_speculative += stats.iters;
-                        // Simulated-time model: the slowest worker bounds
-                        // the span.
-                        let priv_cost =
-                            (stats.priv_read_bytes + stats.priv_write_bytes) * model::PRIV_BYTE;
-                        let package_cost = stats.contrib_pages * model::PACKAGE_PAGE;
-                        let busy = stats.insts + priv_cost + package_cost;
-                        max_busy = max_busy.max(busy);
-                        let checks =
-                            stats.priv_read_calls + stats.priv_write_calls + stats.check_calls;
-                        self.stats.sim.useful += stats.insts.saturating_sub(checks);
-                        self.stats.sim.priv_read +=
-                            stats.priv_read_bytes * model::PRIV_BYTE + stats.priv_read_calls;
-                        self.stats.sim.priv_write +=
-                            stats.priv_write_bytes * model::PRIV_BYTE + stats.priv_write_calls;
-                        self.stats.sim.checkpoint += package_cost;
-                    }
-                }
-                // Commit fully contributed periods in order, stopping at
-                // (and never committing) a misspeculated period.
-                while !bailed && next_commit < n_periods as u64 {
-                    let bad_period = earliest.map(|(m, _)| (m - lo) / k);
-                    if bad_period.is_some_and(|bp| next_commit as i64 >= bp) {
-                        break;
-                    }
-                    let ready = pending
-                        .get(&next_commit)
-                        .is_some_and(|v| v.len() == w_count);
-                    if !ready {
-                        break;
-                    }
-                    let mut contribs = pending.remove(&next_commit).expect("checked above");
-                    // Canonical merge order: sorting by worker id makes
-                    // trap selection and reduction folds deterministic
-                    // (the old arrival order varied run to run).
-                    contribs.sort_by_key(|c| c.worker);
-                    let t0 = Instant::now();
-                    let n_contribs = contribs.len() as i64;
-                    let contrib_pages_in_merge: u64 =
-                        contribs.iter().map(|c| c.page_count() as u64).sum();
-                    let mut failed = self
-                        .merge_fault
-                        .take_if(|(period, _)| *period == next_commit)
-                        .map(|(_, trap)| trap);
-                    let mut merge = if cfg.reference_merge {
-                        PeriodMerge::Reference(ReferenceCheckpointMerge::new(redux.len()))
-                    } else {
-                        PeriodMerge::Fast(CheckpointMerge::new(redux.len()))
-                    };
-                    if failed.is_none() {
-                        failed = contribs
-                            .into_iter()
-                            .try_for_each(|c| merge.add(c, mem))
-                            .err();
-                    }
-                    if tel.is_tracing() {
-                        tel.record(SpanEvent {
-                            ts_ns: clock::instant_ns(t0),
-                            dur_ns: t0.elapsed().as_nanos() as u64,
-                            phase: Phase::Merge,
-                            track: ENGINE_TRACK,
-                            a: next_commit as i64,
-                            b: n_contribs,
-                        });
-                    }
-                    self.stats.checkpoints += 1;
-                    self.metrics.checkpoints.add(1);
-                    let pbase = lo + next_commit as i64 * k;
-                    let pend = (pbase + k).min(hi);
-                    match failed {
-                        Some(Trap::Misspec(m)) => {
-                            // Phase-2 violation: the whole period re-executes.
-                            self.stats.misspecs += 1;
-                            self.metrics.misspecs.add(1);
-                            note_misspec(&mut earliest, &mut self.events, pend - 1, m.kind);
-                            // This period and everything after it are
-                            // squashed: drop their buffered pages now.
-                            let dropped = prune_squashed(&mut pending, next_commit);
-                            if dropped > 0 {
-                                self.stats.squashed_pages_dropped += dropped;
-                                self.metrics.squashed_pages.add(dropped);
-                            }
-                        }
-                        Some(other) => {
-                            // Bail out of merging, but keep draining the
-                            // channel: every worker still owes its `Done`
-                            // stats, and dropping them silently
-                            // under-counts `iters_speculative`, `body_ns`
-                            // and the sim model.
-                            outcome = Err(other);
-                            bailed = true;
-                            flag.fetch_min(lo, Ordering::SeqCst);
-                            let dropped = prune_squashed(&mut pending, 0);
-                            if dropped > 0 {
-                                self.stats.squashed_pages_dropped += dropped;
-                                self.metrics.squashed_pages.add(dropped);
-                            }
-                        }
-                        None => {
-                            merge_sim += merge.written_bytes() as u64 * model::MERGE_BYTE
-                                + contrib_pages_in_merge * model::MERGE_PAGE;
-                            let tc = Instant::now();
-                            // Commit reductions: pre ⊕ fold(worker images),
-                            // folded in worker order.
-                            for (i, &(op, addr, _size)) in redux.iter().enumerate() {
-                                let mut acc = pre_redux[i].clone();
-                                for img in &merge.redux_images()[i] {
-                                    combine_images(op, &mut acc, img);
-                                }
-                                mem.write_bytes(addr, &acc);
-                            }
-                            // Commit the merged bytes; the period's I/O
-                            // retires in iteration order.
-                            for (_, bytes) in merge.commit(mem) {
-                                self.out.extend(bytes);
-                            }
-                            if tel.is_tracing() {
-                                tel.record(SpanEvent {
-                                    ts_ns: clock::instant_ns(tc),
-                                    dur_ns: tc.elapsed().as_nanos() as u64,
-                                    phase: Phase::Commit,
-                                    track: ENGINE_TRACK,
-                                    a: next_commit as i64,
-                                    b: 0,
-                                });
-                            }
-                            committed_through = pend;
-                            push_event(
-                                &tel,
-                                &mut self.events,
-                                EngineEvent::CheckpointCommitted {
-                                    period: next_commit,
-                                    base: pbase,
-                                    end: pend,
-                                },
-                            );
-                            next_commit += 1;
-                        }
-                    }
-                    // Merge wall time counts whether or not the merge
-                    // succeeded — a failed attempt (phase-2 violation or
-                    // injected fault) is checkpoint work too, and used to
-                    // leak into the spawn/join residual.
-                    let el = t0.elapsed().as_nanos() as u64;
-                    merge_ns += el;
-                    self.metrics.merge_ns.record(el);
-                }
-            }
-            self.stats.checkpoint_ns += merge_ns;
-
-            if outcome.is_ok() {
-                if let Some((iter, _)) = earliest {
-                    // The detection event was already emitted when the
-                    // misspeculation was first recorded.
-                    outcome = Ok(SpanOutcome::Misspec {
-                        iter,
-                        resume_base: committed_through,
-                    });
-                }
+                committer.commit_ready(mem, &mut self.merge.0);
+                flag.fetch_min(committer.stop_iter(), Ordering::SeqCst);
             }
         });
 
-        let wall = span_t0.elapsed().as_nanos() as u64;
-        self.stats.wall_ns += wall;
-        self.stats.capacity_ns += wall * w_count as u64;
-        if self.tel.is_tracing() {
-            self.tel.record(SpanEvent {
-                ts_ns: clock::instant_ns(span_t0),
-                dur_ns: wall,
-                phase: Phase::ParallelSpan,
-                track: ENGINE_TRACK,
-                a: lo,
-                b: hi,
-            });
-        }
+        self.out.append(&mut committer.out);
+        self.events.append(&mut committer.events);
+        self.count(&committer.tally);
+        self.tel.span_since(Phase::ParallelSpan, span_t0, lo, hi);
+        let merge_sim = committer.merge_sim;
         let span_sim =
             model::SPAWN_BASE + model::SPAWN_PER_WORKER * w_count as u64 + max_busy + merge_sim;
         self.stats.sim.total += span_sim;
         self.stats.sim.capacity += span_sim * w_count as u64;
         self.stats.sim.checkpoint += merge_sim;
-        outcome
+        committer.outcome()
+    }
+
+    /// Fold a finished worker's stats and trace ring into the engine
+    /// totals; returns its simulated busy time (the slowest worker bounds
+    /// the span).
+    fn absorb_worker(&mut self, stats: WorkerStats, wtel: WorkerTelemetry) -> u64 {
+        self.stats.priv_read_bytes += stats.priv_read_bytes;
+        self.stats.priv_write_bytes += stats.priv_write_bytes;
+        self.stats.iters_speculative += stats.iters;
+        // The registry counters are the source of truth for these totals;
+        // the stats fields are snapshot views refreshed at each drain.
+        self.metrics.priv_fast_words.add(stats.priv_fast_words);
+        self.metrics.priv_slow_bytes.add(stats.priv_slow_bytes);
+        self.metrics.contrib_pages.add(stats.contrib_pages);
+        self.stats.priv_fast_words = self.metrics.priv_fast_words.get();
+        self.stats.priv_slow_bytes = self.metrics.priv_slow_bytes.get();
+        self.stats.contrib_pages = self.metrics.contrib_pages.get();
+        self.tel.absorb(wtel);
+        let priv_cost = (stats.priv_read_bytes + stats.priv_write_bytes) * model::PRIV_BYTE;
+        let package_cost = stats.contrib_pages * model::PACKAGE_PAGE;
+        let checks = stats.priv_read_calls + stats.priv_write_calls + stats.check_calls;
+        self.stats.sim.useful += stats.insts.saturating_sub(checks);
+        self.stats.sim.priv_read +=
+            stats.priv_read_bytes * model::PRIV_BYTE + stats.priv_read_calls;
+        self.stats.sim.priv_write +=
+            stats.priv_write_bytes * model::PRIV_BYTE + stats.priv_write_calls;
+        self.stats.sim.checkpoint += package_cost;
+        stats.insts + priv_cost + package_cost
+    }
+
+    /// Add one span's checkpoint, misspeculation and squash counts to the
+    /// stats and their registry counters.
+    fn count(&mut self, t: &SpanTally) {
+        self.stats.checkpoints += t.checkpoints;
+        self.stats.misspecs += t.misspecs;
+        self.stats.squashed_pages_dropped += t.squashed_pages;
+        self.metrics.checkpoints.add(t.checkpoints);
+        self.metrics.misspecs.add(t.misspecs);
+        self.metrics.squashed_pages.add(t.squashed_pages);
     }
 
     /// Sequential, non-speculative re-execution of `from..=through` using
@@ -768,7 +716,7 @@ impl MainRuntime {
         through: i64,
         mem: &mut AddressSpace,
     ) -> Result<(), Trap> {
-        let t0 = Instant::now();
+        let t0 = self.tel.start();
         push_event(
             &self.tel,
             &mut self.events,
@@ -785,27 +733,10 @@ impl MainRuntime {
         self.out.extend(out);
         self.stats.sim.total += rec_insts;
         self.stats.sim.recovery += rec_insts;
-        self.stats.recovered_iters += (through - from + 1).max(0) as u64;
-        self.metrics
-            .recovered_iters
-            .add((through - from + 1).max(0) as u64);
-        // The whole machine is held while serial recovery runs: the wall
-        // time accrues to `recovery_ns` and the held capacity to
-        // `capacity_ns` (workers × wall), so the Figure 8 breakdown can
-        // attribute it instead of leaking it into spawn/join.
-        let wall = t0.elapsed().as_nanos() as u64;
-        self.stats.recovery_ns += wall;
-        self.stats.capacity_ns += wall * self.cfg.workers.max(1) as u64;
-        if self.tel.is_tracing() {
-            self.tel.record(SpanEvent {
-                ts_ns: clock::instant_ns(t0),
-                dur_ns: wall,
-                phase: Phase::Recovery,
-                track: ENGINE_TRACK,
-                a: from,
-                b: through,
-            });
-        }
+        let iters = (through - from + 1).max(0) as u64;
+        self.stats.recovered_iters += iters;
+        self.metrics.recovered_iters.add(iters);
+        self.tel.span_since(Phase::Recovery, t0, from, through);
         result
     }
 }
@@ -877,7 +808,7 @@ fn worker_main(
             if f != i64::MAX && (f - lo) / k <= period as i64 {
                 break 'periods;
             }
-            let t0 = Instant::now();
+            let t0 = interp.rt.tel.start();
             // The whole step holds the scheduler turn (when scripted),
             // so everything the iteration publishes is ordered before
             // the next script entry releases.
@@ -888,7 +819,6 @@ fn worker_main(
                     interp.rt.end_iteration()
                 })()
             });
-            interp.rt.stats.body_ns += t0.elapsed().as_nanos() as u64;
             interp.rt.tel.span_since(Phase::Iteration, t0, iter, 0);
             if let Err(trap) = step {
                 let kind = match trap {
@@ -912,11 +842,9 @@ fn worker_main(
         // Contribute this period's *delta* — only pages dirtied since the
         // previous contribution — to the checkpoint object; `collect`
         // normalizes the shadow metadata and re-snapshots the page map.
-        let t0 = Instant::now();
         let io = interp.rt.take_io();
         let contrib =
             delta.collect_traced(w, period, &mut interp.mem, redux, io, &mut interp.rt.tel);
-        interp.rt.stats.checkpoint_ns += t0.elapsed().as_nanos() as u64;
         interp.rt.stats.contrib_pages +=
             (contrib.shadow_pages.len() + contrib.priv_pages.len()) as u64;
         gated(&sched, SchedPoint::Contribute { worker: w, period }, || {
@@ -976,7 +904,7 @@ impl RuntimeIface for MainRuntime {
         }
         self.stats.invocations += 1;
         self.metrics.invocations.add(1);
-        let t0 = Instant::now();
+        let t0 = self.tel.start();
         push_event(&self.tel, &mut self.events, EngineEvent::Invoke { lo, hi });
         let mut next = lo;
         while next < hi {
@@ -995,16 +923,7 @@ impl RuntimeIface for MainRuntime {
                 }
             }
         }
-        if self.tel.is_tracing() {
-            self.tel.record(SpanEvent {
-                ts_ns: clock::instant_ns(t0),
-                dur_ns: t0.elapsed().as_nanos() as u64,
-                phase: Phase::Invoke,
-                track: ENGINE_TRACK,
-                a: lo,
-                b: hi,
-            });
-        }
+        self.tel.span_since(Phase::Invoke, t0, lo, hi);
         push_event(&self.tel, &mut self.events, EngineEvent::InvokeDone);
         Ok(())
     }
@@ -1019,7 +938,7 @@ fn run_recovery(
     global_addrs: &[u64],
     heaps: &SharedHeaps,
     recovery: FuncId,
-    mut iters: std::ops::Range<i64>,
+    mut iters: Range<i64>,
     mem: &mut AddressSpace,
 ) -> (Result<(), Trap>, Vec<u8>, u64) {
     let rt = SequentialPlanRuntime {
@@ -1100,36 +1019,140 @@ impl RuntimeIface for SequentialPlanRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privateer_vm::{Page, PAGE_SIZE};
+
+    /// A contribution of `worker` to `period` carrying `pages` (as both
+    /// shadow and private pages) and deferred output.
+    fn contrib(
+        worker: usize,
+        period: u64,
+        pages: &[Arc<Page>],
+        io: Vec<(i64, Vec<u8>)>,
+    ) -> Contribution {
+        let at = |p: &Arc<Page>| (0x1000, Arc::clone(p));
+        Contribution {
+            worker,
+            period,
+            shadow_pages: pages.iter().map(at).collect(),
+            priv_pages: pages.iter().map(at).collect(),
+            redux_images: vec![],
+            io,
+        }
+    }
+
+    fn committer(lo: i64, hi: i64, k: i64, workers: usize) -> PeriodCommitter {
+        PeriodCommitter::new(
+            lo..hi,
+            k,
+            workers,
+            vec![],
+            &AddressSpace::new(),
+            Telemetry::disabled(),
+            Histogram::default(),
+        )
+    }
+
+    fn buffered(c: &PeriodCommitter) -> Vec<u64> {
+        c.pending.keys().copied().collect()
+    }
+
+    fn committed(c: &PeriodCommitter) -> Vec<u64> {
+        c.events
+            .iter()
+            .filter_map(|e| match e.event {
+                EngineEvent::CheckpointCommitted { period, .. } => Some(period),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A merge whose every `add` fails with its trap.
+    struct Failing(Trap);
+
+    impl PeriodMerge for Failing {
+        fn add(&mut self, _: Contribution, _: &AddressSpace) -> Result<(), Trap> {
+            Err(self.0.clone())
+        }
+        fn written_bytes(&self) -> usize {
+            0
+        }
+        fn redux_images(&self) -> &[Vec<Vec<u8>>] {
+            &[]
+        }
+        fn commit(self: Box<Self>, _: &mut AddressSpace) -> Vec<(i64, Vec<u8>)> {
+            Vec::new()
+        }
+    }
+
+    /// A merge factory failing period `at` with `trap`.
+    fn failing_at(at: u64, trap: Trap) -> impl FnMut(u64, usize) -> Box<dyn PeriodMerge> {
+        move |p, n| -> Box<dyn PeriodMerge> {
+            if p == at {
+                Box::new(Failing(trap.clone()))
+            } else {
+                Box::new(CheckpointMerge::new(n))
+            }
+        }
+    }
+
+    /// Contributions arriving in any order commit strictly in period
+    /// order, and only once every worker has contributed the period.
+    #[test]
+    fn out_of_order_arrivals_commit_in_period_order() {
+        let mut c = committer(0, 8, 2, 2);
+        let mut mem = AddressSpace::new();
+        // Worker `w` runs iteration `2p + w` of period `p` and prints it.
+        let arrival = [
+            (1, 3),
+            (0, 1),
+            (0, 2),
+            (1, 2),
+            (1, 0),
+            (1, 1),
+            (0, 3),
+            (0, 0),
+        ];
+        for (i, &(w, p)) in arrival.iter().enumerate() {
+            let iter = 2 * p as i64 + w as i64;
+            c.contribution(contrib(w, p, &[], vec![(iter, vec![b'a' + iter as u8])]));
+            c.commit_ready(&mut mem, &mut checkpoint_merge);
+            if i < arrival.len() - 1 {
+                assert!(committed(&c).is_empty(), "period 0 is incomplete");
+            }
+        }
+        assert_eq!(committed(&c), vec![0, 1, 2, 3]);
+        assert_eq!(c.out, b"abcdefgh");
+        assert!(c.pending.is_empty());
+        assert_eq!(c.tally.checkpoints, 4);
+        c.worker_done();
+        assert!(!c.finished());
+        c.worker_done();
+        assert!(c.finished());
+        assert_eq!(c.outcome(), Ok(SpanOutcome::Complete));
+    }
 
     /// Regression test for the eager-drop bugfix: once a period is known
-    /// squashed, pruning must release the contribution pages (their
+    /// squashed, the committer must release the contribution pages (their
     /// `Arc`s) immediately — before worker join — not merely unlink the
     /// map entries.
     #[test]
     fn prune_squashed_releases_page_arcs_eagerly() {
-        use privateer_vm::{Page, PAGE_SIZE};
         let page: Arc<Page> = Arc::new([0u8; PAGE_SIZE as usize]);
-        let mk = |period: u64| Contribution {
-            worker: 0,
-            period,
-            shadow_pages: vec![(0x1000, Arc::clone(&page))],
-            priv_pages: vec![(0x1000, Arc::clone(&page))],
-            redux_images: vec![],
-            io: vec![],
-        };
-        let mut pending: BTreeMap<u64, Vec<Contribution>> = BTreeMap::new();
+        // Two workers; only worker 0 has contributed, so nothing commits.
+        let mut c = committer(0, 64, 16, 2);
         for p in 0..4u64 {
-            pending.entry(p).or_default().push(mk(p));
+            c.contribution(contrib(0, p, &[Arc::clone(&page)], vec![]));
         }
         assert_eq!(Arc::strong_count(&page), 1 + 8);
-        let dropped = prune_squashed(&mut pending, 2);
-        assert_eq!(dropped, 4, "two contributions × two pages each");
+        // Iteration 40 lies in period 2: periods 2 and 3 are squashed.
+        c.misspec(40, MisspecKind::Privacy);
+        assert_eq!(c.tally.squashed_pages, 4, "two contributions × two pages");
         assert_eq!(
             Arc::strong_count(&page),
             1 + 4,
-            "squashed periods' pages must be freed at prune time"
+            "squashed periods' pages must be freed at squash time"
         );
-        assert_eq!(pending.len(), 2, "committed-side periods stay buffered");
+        assert_eq!(buffered(&c), vec![0, 1], "earlier periods stay buffered");
     }
 
     /// Regression test for the arrival-side twin of the eager drop: a
@@ -1141,58 +1164,107 @@ mod tests {
     /// flag first).
     #[test]
     fn arrival_drop_covers_squashed_periods_exactly() {
-        let (lo, k) = (0i64, 16i64);
+        let arrive_all = |c: &mut PeriodCommitter| {
+            for p in 0..8u64 {
+                c.contribution(contrib(0, p, &[], vec![]));
+            }
+            buffered(c)
+        };
         // Misspeculation at iteration 70 squashes period 4 onward.
-        let misspec = Some(70i64);
-        for period in 0..4u64 {
-            assert!(!arrival_squashed(false, misspec, period, lo, k));
-        }
-        for period in 4..8u64 {
-            assert!(arrival_squashed(false, misspec, period, lo, k));
-        }
+        let mut c = committer(0, 128, 16, 2);
+        c.misspec(70, MisspecKind::Privacy);
+        assert_eq!(arrive_all(&mut c), vec![0, 1, 2, 3]);
         // Misspeculation exactly on a period boundary squashes the period
         // it opens, not the one it closes.
-        assert!(!arrival_squashed(false, Some(64), 3, lo, k));
-        assert!(arrival_squashed(false, Some(64), 4, lo, k));
+        let mut c = committer(0, 128, 16, 2);
+        c.misspec(64, MisspecKind::Privacy);
+        assert_eq!(arrive_all(&mut c), vec![0, 1, 2, 3]);
         // A non-zero span base shifts the period arithmetic: iteration
         // 134 of a span starting at 64 is period 4, not period 8.
-        assert!(!arrival_squashed(false, Some(134), 3, 64, k));
-        assert!(arrival_squashed(false, Some(134), 4, 64, k));
+        let mut c = committer(64, 192, 16, 2);
+        c.misspec(134, MisspecKind::Privacy);
+        assert_eq!(arrive_all(&mut c), vec![0, 1, 2, 3]);
         // An internal-fault bail squashes everything, no misspec needed.
-        assert!(arrival_squashed(true, None, 0, lo, k));
+        let mut c = committer(0, 128, 16, 1);
+        c.contribution(contrib(0, 0, &[], vec![]));
+        c.commit_ready(
+            &mut AddressSpace::new(),
+            &mut failing_at(0, Trap::Internal("bail".into())),
+        );
+        assert_eq!(arrive_all(&mut c), Vec::<u64>::new());
         // No squash known: everything buffers.
-        assert!(!arrival_squashed(false, None, 7, lo, k));
+        let mut c = committer(0, 128, 16, 2);
+        assert_eq!(arrive_all(&mut c), (0..8).collect::<Vec<_>>());
     }
 
-    /// Regression test for the breakdown accounting: recovery and failed
-    /// merge time must show up in their own buckets, not inflate the
-    /// spawn/join residual. (Before the `recovery_ns` bucket existed, a
-    /// synthetic run like this attributed the whole recovery window to
-    /// spawn/join.)
+    /// A phase-2 misspeculation out of the merge squashes its whole
+    /// period: the span resumes recovery at the period's base, not at the
+    /// misspeculated iteration's own period-local position.
     #[test]
-    fn breakdown_accounts_recovery_separately() {
-        let stats = EngineStats {
-            wall_ns: 1_000,
-            capacity_ns: 4 * 1_000 + 4 * 500, // 4 workers, 500 ns recovery
-            body_ns: 2_400,
-            priv_read_ns: 200,
-            priv_write_ns: 200,
-            checkpoint_ns: 600,
-            recovery_ns: 500,
-            ..EngineStats::default()
-        };
-        let (useful, pr, pw, ck, rec, spawn_join) = stats.breakdown();
-        let cap = 6_000.0;
-        assert!((useful - 2_000.0 / cap).abs() < 1e-9);
-        assert!((pr - 200.0 / cap).abs() < 1e-9);
-        assert!((pw - 200.0 / cap).abs() < 1e-9);
-        assert!((ck - 600.0 / cap).abs() < 1e-9);
-        assert!((rec - 500.0 / cap).abs() < 1e-9);
-        // The residual is what's left: fork/join slack plus the idle
-        // (workers - 1) shares of the recovery window.
-        let sum = useful + pr + pw + ck + rec + spawn_join;
-        assert!((sum - 1.0).abs() < 1e-9);
-        // Recovery must not be part of the residual.
-        assert!((spawn_join - (cap - 2_000.0 - 400.0 - 600.0 - 500.0) / cap).abs() < 1e-9);
+    fn phase2_misspec_recovers_whole_period() {
+        // Periods of 4 over 10..20: 10..14, 14..18, 18..20.
+        let mut c = committer(10, 20, 4, 2);
+        let mut mem = AddressSpace::new();
+        let trap = Trap::misspec(MisspecKind::Privacy, "phase-2 conflict");
+        let mut merge = failing_at(1, trap);
+        // Period 2 arrives early and is buffered; then periods 0 and 1.
+        for p in [2u64, 0, 1] {
+            for w in 0..2 {
+                c.contribution(contrib(w, p, &[], vec![]));
+            }
+            c.commit_ready(&mut mem, &mut merge);
+        }
+        assert_eq!(committed(&c), vec![0]);
+        assert!(c.pending.is_empty(), "period 2 squashed with period 1");
+        assert_eq!(c.tally.checkpoints, 2, "the failed merge was attempted");
+        assert_eq!(c.tally.misspecs, 1);
+        assert_eq!(
+            c.stop_iter(),
+            17,
+            "the period's last iteration misspeculated"
+        );
+        assert!(matches!(
+            c.events.last().map(|e| &e.event),
+            Some(EngineEvent::MisspecDetected {
+                iter: 17,
+                kind: MisspecKind::Privacy
+            })
+        ));
+        assert_eq!(
+            c.outcome(),
+            Ok(SpanOutcome::Misspec {
+                iter: 17,
+                resume_base: 14
+            })
+        );
+    }
+
+    /// An internal merge trap bails the span: buffered and later
+    /// contributions are dropped, but the committer still waits for every
+    /// worker's `Done` so their stats are drained.
+    #[test]
+    fn internal_merge_trap_bails_and_still_drains_every_worker() {
+        let page: Arc<Page> = Arc::new([0u8; PAGE_SIZE as usize]);
+        let mut c = committer(0, 12, 4, 2);
+        let mut mem = AddressSpace::new();
+        let mut merge = failing_at(0, Trap::Internal("merge fault".into()));
+        c.contribution(contrib(0, 1, &[Arc::clone(&page)], vec![]));
+        for w in 0..2 {
+            c.contribution(contrib(w, 0, &[], vec![]));
+        }
+        c.commit_ready(&mut mem, &mut merge);
+        assert_eq!(c.stop_iter(), 0, "workers stop at once");
+        assert!(c.pending.is_empty());
+        assert_eq!(Arc::strong_count(&page), 1, "buffered pages released");
+        c.contribution(contrib(1, 1, &[Arc::clone(&page)], vec![]));
+        assert!(c.pending.is_empty(), "late arrivals dropped");
+        assert_eq!(c.tally.squashed_pages, 4);
+        c.worker_done();
+        c.commit_ready(&mut mem, &mut merge);
+        assert!(!c.finished(), "worker 1 still owes its Done");
+        c.worker_done();
+        assert!(c.finished());
+        assert!(committed(&c).is_empty());
+        assert_eq!(c.outcome(), Err(Trap::Internal("merge fault".into())));
     }
 }

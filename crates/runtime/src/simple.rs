@@ -13,7 +13,6 @@ use privateer_vm::interp::{Interp, ProgramImage};
 use privateer_vm::mem::{GLOBAL_BASE, MALLOC_BASE, PAGE_SIZE, STACK_BASE};
 use privateer_vm::{AddressSpace, NopHooks, RuntimeIface, Trap, Val};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Statistics of the unchecked engine.
 #[derive(Debug, Clone, Copy, Default)]
@@ -22,8 +21,6 @@ pub struct SimpleStats {
     pub invocations: u64,
     /// Iterations executed.
     pub iters: u64,
-    /// Wall time in invocations (ns).
-    pub wall_ns: u64,
     /// Simulated-cycle accounting (see [`crate::model`]).
     pub sim: SimCost,
 }
@@ -123,7 +120,6 @@ impl RuntimeIface for UncheckedDoallRuntime {
         if hi <= lo {
             return Ok(());
         }
-        let t0 = Instant::now();
         self.stats.invocations += 1;
         self.stats.iters += (hi - lo) as u64;
         let w_count = self.workers;
@@ -212,7 +208,6 @@ impl RuntimeIface for UncheckedDoallRuntime {
                 mem.install_page(addr, Arc::new(merged));
             }
         }
-        self.stats.wall_ns += t0.elapsed().as_nanos() as u64;
         let span_sim = model::SPAWN_BASE
             + model::SPAWN_PER_WORKER * w_count as u64
             + max_busy

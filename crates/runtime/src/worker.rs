@@ -6,7 +6,6 @@ use privateer_ir::inst::SHADOW_BIT;
 use privateer_ir::{Heap, Module, PlanEntry, ReduxOp};
 use privateer_telemetry::{Phase, WorkerTelemetry};
 use privateer_vm::{AddressSpace, MisspecKind, RegionAllocator, RuntimeIface, Trap, PAGE_SIZE};
-use std::time::Instant;
 
 /// Deterministic per-iteration hash for misspeculation injection (§6.3).
 fn splitmix64(mut x: u64) -> u64 {
@@ -25,21 +24,13 @@ pub fn injected_at(rate: f64, seed: u64, iter: i64) -> bool {
     (h as f64 / u64::MAX as f64) < rate
 }
 
-/// Time and volume counters for one worker (feeds Figure 8 / Table 3).
+/// Volume counters for one worker (feeds Figure 8 / Table 3).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerStats {
-    /// Wall time spent executing loop-body instructions (including checks).
-    pub body_ns: u64,
-    /// Wall time inside `private_read` validation.
-    pub priv_read_ns: u64,
-    /// Wall time inside `private_write` validation.
-    pub priv_write_ns: u64,
     /// Bytes validated by `private_read`.
     pub priv_read_bytes: u64,
     /// Bytes validated by `private_write`.
     pub priv_write_bytes: u64,
-    /// Wall time assembling checkpoint contributions.
-    pub checkpoint_ns: u64,
     /// Iterations executed (including any that misspeculated).
     pub iters: u64,
     /// Interpreter instructions executed (simulated-time model).
@@ -234,26 +225,22 @@ impl RuntimeIface for WorkerRuntime {
 
     #[inline]
     fn private_read(&mut self, addr: u64, size: u64, mem: &mut AddressSpace) -> Result<(), Trap> {
-        let t0 = Instant::now();
-        let r = self.private_access(Access::Read, addr, size, mem);
-        self.stats.priv_read_ns += t0.elapsed().as_nanos() as u64;
         self.stats.priv_read_bytes += size;
         self.stats.priv_read_calls += 1;
-        self.tel
-            .span_since(Phase::PrivRead, t0, addr as i64, size as i64);
-        r
+        if self.tel.enabled() {
+            return self.private_access_traced(Access::Read, addr, size, mem);
+        }
+        self.private_access(Access::Read, addr, size, mem)
     }
 
     #[inline]
     fn private_write(&mut self, addr: u64, size: u64, mem: &mut AddressSpace) -> Result<(), Trap> {
-        let t0 = Instant::now();
-        let r = self.private_access(Access::Write, addr, size, mem);
-        self.stats.priv_write_ns += t0.elapsed().as_nanos() as u64;
         self.stats.priv_write_bytes += size;
         self.stats.priv_write_calls += 1;
-        self.tel
-            .span_since(Phase::PrivWrite, t0, addr as i64, size as i64);
-        r
+        if self.tel.enabled() {
+            return self.private_access_traced(Access::Write, addr, size, mem);
+        }
+        self.private_access(Access::Write, addr, size, mem)
     }
 
     fn predict(&mut self, ok: bool) -> Result<(), Trap> {
@@ -342,8 +329,8 @@ impl WorkerRuntime {
     /// per step on the no-trap path (see [`shadow::word`]).
     ///
     /// Public so the `privateer-bench` overhead suite can measure the raw
-    /// check with the [`RuntimeIface`] wrapper (timing, counters,
-    /// telemetry) compiled out of the loop entirely.
+    /// check with the [`RuntimeIface`] wrapper's telemetry call compiled
+    /// out.
     pub fn private_access(
         &mut self,
         access: Access,
@@ -367,6 +354,28 @@ impl WorkerRuntime {
             b += chunk;
         }
         Ok(())
+    }
+
+    /// [`Self::private_access`] recorded as a `PrivRead`/`PrivWrite` span:
+    /// the traced path of the [`RuntimeIface`] wrappers, kept out of line
+    /// so that with telemetry off they read no clock and pay one branch.
+    #[cold]
+    #[inline(never)]
+    fn private_access_traced(
+        &mut self,
+        access: Access,
+        addr: u64,
+        size: u64,
+        mem: &mut AddressSpace,
+    ) -> Result<(), Trap> {
+        let t0 = self.tel.start();
+        let r = self.private_access(access, addr, size, mem);
+        let phase = match access {
+            Access::Read => Phase::PrivRead,
+            Access::Write => Phase::PrivWrite,
+        };
+        self.tel.span_since(phase, t0, addr as i64, size as i64);
+        r
     }
 
     /// One within-page chunk (`len <= PAGE_SIZE`) of the word-granular

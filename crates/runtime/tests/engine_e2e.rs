@@ -2,11 +2,13 @@
 //! modules: privatization, reductions, deferred I/O, misspeculation
 //! injection, genuine privacy violations, and the Figure 5 timeline.
 
+use privateer_fuzz::merge;
 use privateer_ir::builder::FunctionBuilder;
 use privateer_ir::{CmpOp, GlobalInit, Heap, Intrinsic, Module, PlanEntry, ReduxOp, Type, Value};
 use privateer_runtime::{EngineConfig, EngineEvent, MainRuntime, SequentialPlanRuntime};
 use privateer_telemetry::{assert_happens_before, assert_stamps_ordered};
 use privateer_vm::{load_module, Interp, NopHooks, Trap};
+use std::sync::atomic::Ordering;
 
 const N: i64 = 100;
 
@@ -141,7 +143,6 @@ fn cfg(workers: usize) -> EngineConfig {
         checkpoint_period: 16,
         inject_rate: 0.0,
         inject_seed: 7,
-        ..EngineConfig::default()
     }
 }
 
@@ -296,12 +297,13 @@ fn merge_fault_bails_without_dropping_worker_stats() {
     // A non-misspeculation trap out of the phase-2 merge aborts the span,
     // but the collection loop must keep draining the channel: every
     // worker still owes its `Done` stats, and bailing out of the loop
-    // early used to discard them (under-counting `iters_speculative`,
-    // `body_ns` and the whole sim model).
+    // early used to discard them (under-counting `iters_speculative`
+    // and the whole sim model).
     let m = build_module(false);
     let image = load_module(&m);
     let mut rt = MainRuntime::new(&image, cfg(4));
-    rt.fail_merge_at(0, Trap::Internal("injected merge fault".into()));
+    let (fault, fired) = merge::fail_at(0, Trap::Internal("injected merge fault".into()));
+    rt.set_merge(fault);
     let mut interp = Interp::new(&m, &image, NopHooks, rt);
     let r = interp.run_main();
     let rt = interp.rt;
@@ -309,6 +311,7 @@ fn merge_fault_bails_without_dropping_worker_stats() {
         Err(Trap::Internal(msg)) => assert!(msg.contains("injected merge fault"), "{msg}"),
         other => panic!("expected the injected merge fault, got {other:?}"),
     }
+    assert!(fired.load(Ordering::Relaxed));
     // All four workers contributed period 0 before the merge ran, so the
     // drained stats must reflect real speculative work.
     assert!(
@@ -317,8 +320,8 @@ fn merge_fault_bails_without_dropping_worker_stats() {
         rt.stats.iters_speculative
     );
     assert!(
-        rt.stats.body_ns > 0,
-        "worker body time dropped on merge bail"
+        rt.stats.sim.useful > 0,
+        "worker body work dropped on merge bail"
     );
     assert!(rt.stats.priv_write_bytes > 0);
 }

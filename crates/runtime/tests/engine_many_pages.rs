@@ -1,10 +1,12 @@
 //! Many pages per period: every checkpoint of this workload ships 16
 //! freshly written pages per period, so the phase-2 merge does real page
 //! work each period. The dense fast merge, the per-address reference
-//! merge (`reference_merge: true`) and the sequential plan runtime must
+//! merge (plugged into the engine's merge seam) and the sequential plan
+//! runtime must
 //! print byte-identical output, and both merges must commit the same
 //! checkpoints in the same order.
 
+use privateer_fuzz::merge;
 use privateer_ir::builder::FunctionBuilder;
 use privateer_ir::{Heap, Intrinsic, Module, PlanEntry, Type, Value};
 use privateer_runtime::{
@@ -78,10 +80,13 @@ fn run_engine(m: &Module, reference_merge: bool) -> (Vec<u8>, Vec<EngineEvent>, 
         checkpoint_period: PERIOD,
         inject_rate: 0.0,
         inject_seed: 0,
-        reference_merge,
     };
     let image = load_module(m);
-    let mut interp = Interp::new(m, &image, NopHooks, MainRuntime::new(&image, cfg));
+    let mut rt = MainRuntime::new(&image, cfg);
+    if reference_merge {
+        rt.set_merge(merge::reference);
+    }
+    let mut interp = Interp::new(m, &image, NopHooks, rt);
     interp.run_main().unwrap();
     let out = interp.rt.take_output();
     let commits = interp

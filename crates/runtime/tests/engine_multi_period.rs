@@ -81,7 +81,6 @@ fn cfg() -> EngineConfig {
         checkpoint_period: PERIOD,
         inject_rate: 0.0,
         inject_seed: 0,
-        ..EngineConfig::default()
     }
 }
 
@@ -144,9 +143,10 @@ fn late_period_misspeculation_preserves_committed_prefix_and_io() {
     // the pending map until the span's workers join. Whether any such
     // contribution actually materializes here is a scheduling race (a
     // worker usually sees the squash flag before packaging one), so the
-    // eager-drop itself is asserted deterministically by the
-    // `prune_squashed_releases_page_arcs_eagerly` and
-    // `arrival_drop_covers_squashed_periods_exactly` unit tests; this
+    // eager-drop itself is asserted deterministically by the engine's
+    // thread-free `PeriodCommitter` unit tests
+    // (`prune_squashed_releases_page_arcs_eagerly`,
+    // `arrival_drop_covers_squashed_periods_exactly`); this
     // test pins the observable consequence: squashed pages never reach
     // the committed image or the output (checked byte-for-byte above).
     // At least the four periods before the misspeculated one committed

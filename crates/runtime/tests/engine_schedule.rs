@@ -2,12 +2,13 @@
 //! a timing race, via [`VirtualScheduler`] scripts.
 //!
 //! The headline regression: the *drop-on-arrival* path for squashed
-//! contributions (`engine::arrival_squashed`). A contribution for a
-//! period at or after a detected misspeculation must be dropped the
-//! moment it arrives — but in a free-running span the contributing
-//! worker usually observes the squash flag first and never sends, so the
-//! path went untested end-to-end (the engine's unit test exercises only
-//! the predicate). A three-entry script makes the race a certainty.
+//! contributions (`PeriodCommitter::contribution` in the engine). A
+//! contribution for a period at or after a detected misspeculation must
+//! be dropped the moment it arrives — but in a free-running span the
+//! contributing worker usually observes the squash flag first and never
+//! sends, so the path went untested end-to-end (the engine's unit tests
+//! drive the committer without threads). A three-entry script makes the
+//! race a certainty.
 
 use privateer_ir::builder::FunctionBuilder;
 use privateer_ir::{CmpOp, Heap, Intrinsic, Module, PlanEntry, Type, Value};
@@ -140,7 +141,6 @@ fn scripted_late_contribution_is_dropped_on_arrival() {
             checkpoint_period: 4,
             inject_rate: rate,
             inject_seed: seed,
-            ..EngineConfig::default()
         },
     );
     let sched = VirtualScheduler::scripted(script.clone());
@@ -181,7 +181,6 @@ fn unscripted_run_agrees_with_sequential() {
             checkpoint_period: 4,
             inject_rate: rate,
             inject_seed: seed,
-            ..EngineConfig::default()
         },
     );
     let mut interp = Interp::new(&m, &image, NopHooks, rt);

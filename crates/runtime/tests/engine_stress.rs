@@ -98,7 +98,6 @@ fn degenerate_configurations_all_agree() {
             checkpoint_period: period,
             inject_rate: 0.0,
             inject_seed: 0,
-            ..EngineConfig::default()
         };
         let mut interp = Interp::new(&m, &image, NopHooks, MainRuntime::new(&image, cfg));
         interp.run_main().unwrap();
@@ -124,7 +123,6 @@ fn misspeculation_on_final_iteration_recovers() {
         checkpoint_period: 5,
         inject_rate: 0.02,
         inject_seed: seed,
-        ..EngineConfig::default()
     };
     let mut interp = Interp::new(&m, &image, NopHooks, MainRuntime::new(&image, cfg));
     interp.run_main().unwrap();
@@ -150,7 +148,6 @@ fn genuine_error_reproduces_sequentially() {
         checkpoint_period: 4,
         inject_rate: 0.0,
         inject_seed: 0,
-        ..EngineConfig::default()
     };
     let mut interp = Interp::new(&m, &image, NopHooks, MainRuntime::new(&image, cfg));
     let err = interp.run_main().unwrap_err();
@@ -192,7 +189,6 @@ fn randomized_hostile_configs_agree() {
             checkpoint_period: period,
             inject_rate,
             inject_seed,
-            ..EngineConfig::default()
         };
         let mut interp = Interp::new(&m, &image, NopHooks, MainRuntime::new(&image, cfg));
         interp
@@ -213,7 +209,6 @@ fn empty_and_single_iteration_regions() {
             checkpoint_period: 8,
             inject_rate: 0.0,
             inject_seed: 0,
-            ..EngineConfig::default()
         };
         let mut interp = Interp::new(&m, &image, NopHooks, MainRuntime::new(&image, cfg));
         interp.run_main().unwrap();

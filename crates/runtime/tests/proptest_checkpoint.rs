@@ -2,7 +2,7 @@
 //! contributions ([`DeltaTracker`]) merged by the page-granular dense
 //! [`CheckpointMerge`] — and the retained reference path — cumulative
 //! contributions ([`collect_contribution`]) merged by the per-address
-//! [`ReferenceCheckpointMerge`].
+//! [`ReferenceCheckpointMerge`] from `privateer-fuzz`.
 //!
 //! For random multi-worker, multi-period access traces with footprints
 //! crossing page boundaries, and for random contribution orders, the two
@@ -15,14 +15,13 @@
 //! deterministic order shuffle) lives in [`privateer_fuzz::trace`],
 //! shared with the `privfuzz` harness.
 
+use privateer_fuzz::merge::ReferenceCheckpointMerge;
 use privateer_fuzz::trace::{
     op_strategy, priv_range, shuffled_order, touched_shadow_pages, TraceParams, TraceWorker,
 };
 use privateer_ir::inst::SHADOW_BIT;
 use privateer_ir::Heap;
-use privateer_runtime::checkpoint::{
-    collect_contribution, CheckpointMerge, DeltaTracker, ReferenceCheckpointMerge,
-};
+use privateer_runtime::checkpoint::{collect_contribution, CheckpointMerge, DeltaTracker};
 use privateer_runtime::shadow;
 use privateer_runtime::worker::WorkerRuntime;
 use privateer_vm::{AddressSpace, RuntimeIface, PAGE_SIZE};

@@ -4,6 +4,7 @@
 //! track per worker plus the engine, and exactly one recovery span that
 //! covers the misspeculated window.
 
+use privateer_fuzz::merge;
 use privateer_ir::builder::FunctionBuilder;
 use privateer_ir::{Heap, Intrinsic, Module, PlanEntry, Type, Value};
 use privateer_runtime::{EngineConfig, EngineEvent, MainRuntime, SequentialPlanRuntime};
@@ -11,6 +12,7 @@ use privateer_telemetry::{
     assert_happens_before, chrome_trace, json, json_lines, Phase, Telemetry,
 };
 use privateer_vm::{load_module, Interp, MisspecKind, NopHooks, Trap};
+use std::sync::atomic::Ordering;
 
 const N: i64 = 96;
 const PERIOD: u64 = 16;
@@ -73,7 +75,6 @@ fn traced_run_exports_recovery_window_per_worker_tracks() {
         checkpoint_period: PERIOD,
         inject_rate: 0.0,
         inject_seed: 0,
-        ..EngineConfig::default()
     };
     let image = load_module(&m);
     let tel = Telemetry::enabled();
@@ -81,17 +82,19 @@ fn traced_run_exports_recovery_window_per_worker_tracks() {
     // Fail the phase-2 merge of period 2 (iterations 32..48): periods 0-1
     // commit, the whole of period 2 recovers sequentially, the span
     // resumes at 48.
-    rt.fail_merge_at(
+    let (fault, fired) = merge::fail_at(
         2,
         Trap::misspec(MisspecKind::Privacy, "injected phase-2 privacy violation"),
     );
+    rt.set_merge(fault);
     let mut interp = Interp::new(&m, &image, NopHooks, rt);
     interp.run_main().unwrap();
+    assert!(fired.load(Ordering::Relaxed));
     assert_eq!(interp.rt.take_output(), want);
     let rt = &interp.rt;
     assert_eq!(rt.stats.misspecs, 1);
     assert!(rt.stats.recovered_iters >= 1);
-    assert!(rt.stats.recovery_ns > 0, "recovery wall time not accounted");
+    assert!(rt.stats.sim.recovery > 0, "recovery work not accounted");
 
     // The stamped Figure 5 log orders detection before recovery before
     // resume.
@@ -186,7 +189,6 @@ fn disabled_telemetry_captures_nothing_but_still_counts() {
         checkpoint_period: PERIOD,
         inject_rate: 0.0,
         inject_seed: 0,
-        ..EngineConfig::default()
     };
     let image = load_module(&m);
     let mut interp = Interp::new(&m, &image, NopHooks, MainRuntime::new(&image, cfg));

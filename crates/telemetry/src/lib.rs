@@ -151,6 +151,29 @@ impl Telemetry {
         }
     }
 
+    /// The start of an engine-side span: the current time when tracing,
+    /// `None` (and no clock read) otherwise.
+    #[inline]
+    pub fn start(&self) -> Option<Instant> {
+        self.is_tracing().then(Instant::now)
+    }
+
+    /// Record an engine-track span that started at `t0` and ends now; a
+    /// no-op for `None` or when tracing is off.
+    pub fn span_since(&self, phase: Phase, t0: Option<Instant>, a: i64, b: i64) {
+        let (true, Some(t0)) = (self.is_tracing(), t0) else {
+            return;
+        };
+        self.record(SpanEvent {
+            ts_ns: clock::instant_ns(t0),
+            dur_ns: t0.elapsed().as_nanos() as u64,
+            phase,
+            track: ENGINE_TRACK,
+            a,
+            b,
+        });
+    }
+
     /// Absorb a finished worker's telemetry (its ring) into the sink.
     pub fn absorb(&self, worker: WorkerTelemetry) {
         let Some(t) = &self.trace else { return };
@@ -205,6 +228,13 @@ impl WorkerTelemetry {
         self.active
     }
 
+    /// The start of a span: the current time when this handle records,
+    /// `None` (and no clock read) otherwise.
+    #[inline]
+    pub fn start(&self) -> Option<Instant> {
+        self.active.then(Instant::now)
+    }
+
     /// The track this handle records onto.
     pub fn track(&self) -> u32 {
         self.track
@@ -219,12 +249,13 @@ impl WorkerTelemetry {
         self.record_span(phase, ts_ns, dur_ns, a, b);
     }
 
-    /// Record a span that started at `t0` and ends now.
+    /// Record a span that started at `t0` (from [`Self::start`]) and ends
+    /// now; a no-op for `None`.
     #[inline]
-    pub fn span_since(&mut self, phase: Phase, t0: Instant, a: i64, b: i64) {
-        if !self.active {
+    pub fn span_since(&mut self, phase: Phase, t0: Option<Instant>, a: i64, b: i64) {
+        let (true, Some(t0)) = (self.active, t0) else {
             return;
-        }
+        };
         let dur_ns = t0.elapsed().as_nanos() as u64;
         self.record_span(phase, clock::instant_ns(t0), dur_ns, a, b);
     }

@@ -202,7 +202,7 @@ impl Hooks for TraceHooks {
         if let Some(t0) = self.starts.pop() {
             self.tel.span_since(
                 privateer_telemetry::Phase::Loop,
-                t0,
+                Some(t0),
                 loop_id.index() as i64,
                 trips as i64,
             );

@@ -25,7 +25,6 @@ fn main() {
         checkpoint_period: 8,
         inject_rate: 0.08, // force misspeculations
         inject_seed: 1234,
-        ..EngineConfig::default()
     };
     let mut interp = Interp::new(
         &result.module,

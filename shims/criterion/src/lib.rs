@@ -7,7 +7,8 @@
 //! crate — see the root `Cargo.toml`).
 //!
 //! Supported surface: [`Criterion::bench_function`],
-//! [`Criterion::benchmark_group`] (with `sample_size` and `finish`),
+//! [`Criterion::benchmark_group`] (with `sample_size`, `warm_up_time`
+//! and `finish`),
 //! [`Bencher::iter`], [`Bencher::iter_batched`], [`BatchSize`],
 //! [`black_box`], [`criterion_group!`] and [`criterion_main!`].
 //!
@@ -17,6 +18,11 @@
 //! `[min median max]` of per-iteration sample means, formatted like real
 //! criterion's `time: [..]` line so existing tooling that greps the
 //! output keeps working.
+//!
+//! Filtering: as in criterion, the first harness argument that is not a
+//! flag (`cargo bench -- <filter>`) selects the benchmarks whose id —
+//! `name`, or `group/name` inside a group — contains it as a substring;
+//! the others are skipped without running.
 
 use std::time::{Duration, Instant};
 
@@ -135,6 +141,8 @@ fn report(name: &str, mut means: Vec<f64>) {
 pub struct Criterion {
     warmup: Duration,
     sample_size: usize,
+    /// Substring a benchmark id must contain to run (`None` runs all).
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -142,13 +150,22 @@ impl Default for Criterion {
         Criterion {
             warmup: Duration::from_millis(100),
             sample_size: 30,
+            filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
         }
     }
 }
 
 impl Criterion {
+    /// Whether the benchmark `id` passes the name filter.
+    fn selected(&self, id: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| id.contains(f))
+    }
+
     /// Run one named benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
+        if !self.selected(name) {
+            return self;
+        }
         let mut b = Bencher::new(self.warmup, self.sample_size);
         f(&mut b);
         report(name, b.sample_means_ns);
@@ -161,6 +178,7 @@ impl Criterion {
             parent: self,
             name: name.to_string(),
             sample_size: None,
+            warmup: None,
         }
     }
 }
@@ -171,6 +189,7 @@ pub struct BenchmarkGroup<'a> {
     parent: &'a mut Criterion,
     name: String,
     sample_size: Option<usize>,
+    warmup: Option<Duration>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -180,12 +199,22 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Override the warm-up time of each benchmark in this group.
+    pub fn warm_up_time(&mut self, d: Duration) -> &mut Self {
+        self.warmup = Some(d);
+        self
+    }
+
     /// Run one benchmark within the group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
+        let id = format!("{}/{}", self.name, name);
+        if !self.parent.selected(&id) {
+            return self;
+        }
         let samples = self.sample_size.unwrap_or(self.parent.sample_size);
-        let mut b = Bencher::new(self.parent.warmup, samples);
+        let mut b = Bencher::new(self.warmup.unwrap_or(self.parent.warmup), samples);
         f(&mut b);
-        report(&format!("{}/{}", self.name, name), b.sample_means_ns);
+        report(&id, b.sample_means_ns);
         self
     }
 
@@ -204,8 +233,8 @@ macro_rules! criterion_group {
     };
 }
 
-/// Generate `main` running the given groups (extra harness arguments
-/// from `cargo bench` are ignored).
+/// Generate `main` running the given groups (the first non-flag harness
+/// argument filters benchmarks by id; other arguments are ignored).
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
@@ -247,11 +276,36 @@ mod tests {
         let mut c = Criterion {
             warmup: Duration::from_millis(1),
             sample_size: 2,
+            filter: None,
         };
         c.bench_function("t", |b| b.iter(|| black_box(1 + 1)));
         let mut g = c.benchmark_group("g");
         g.sample_size(2);
         g.bench_function("u", |b| b.iter(|| black_box(2 + 2)));
         g.finish();
+    }
+
+    #[test]
+    fn name_filter_runs_only_matching_benchmarks() {
+        let mut c = Criterion {
+            warmup: Duration::from_millis(1),
+            sample_size: 1,
+            filter: Some("overhead_64B".to_string()),
+        };
+        let mut ran = Vec::new();
+        c.bench_function("overhead", |_| ran.push("overhead"));
+        let mut g = c.benchmark_group("telemetry_overhead_64B");
+        g.bench_function("disabled", |_| ran.push("g/disabled"));
+        g.bench_function("compiled_out", |_| ran.push("g/compiled_out"));
+        g.finish();
+        let mut g = c.benchmark_group("cow_fork");
+        g.bench_function("overhead_64B_lookalike", |_| ran.push("cow_fork/lookalike"));
+        g.bench_function("dirty_1", |_| ran.push("cow_fork/dirty_1"));
+        g.finish();
+        assert_eq!(
+            ran,
+            ["g/disabled", "g/compiled_out", "cow_fork/lookalike"],
+            "the filter is a substring match on `group/name`"
+        );
     }
 }

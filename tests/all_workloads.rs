@@ -139,7 +139,6 @@ fn every_workload_is_privatized_and_parallelized_correctly() {
                 checkpoint_period: 5,
                 inject_rate: 0.0,
                 inject_seed: 0,
-                ..EngineConfig::default()
             };
             let mut interp = Interp::new(tm, &image, NopHooks, MainRuntime::new(&image, cfg));
             interp
@@ -171,7 +170,6 @@ fn every_workload_survives_injected_misspeculation() {
             checkpoint_period: 4,
             inject_rate: 0.3,
             inject_seed: 99,
-            ..EngineConfig::default()
         };
         let mut interp = Interp::new(
             &result.module,

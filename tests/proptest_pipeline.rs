@@ -140,7 +140,6 @@ proptest! {
             checkpoint_period: 6,
             inject_rate: inject,
             inject_seed: 7,
-            ..EngineConfig::default()
         };
         let mut interp = Interp::new(&result.module, &image, NopHooks, MainRuntime::new(&image, cfg));
         interp.run_main().unwrap_or_else(|e| panic!("run failed on {stmts:?}: {e}"));

@@ -39,7 +39,6 @@ fn workloads_round_trip_through_text() {
             checkpoint_period: 8,
             inject_rate: 0.0,
             inject_seed: 0,
-            ..EngineConfig::default()
         };
         let mut interp = Interp::new(
             &result.module,
@@ -76,7 +75,6 @@ fn transformed_modules_round_trip_through_text() {
             checkpoint_period: 8,
             inject_rate: 0.0,
             inject_seed: 0,
-            ..EngineConfig::default()
         };
         let mut interp = Interp::new(&reparsed, &image, NopHooks, MainRuntime::new(&image, cfg));
         interp.run_main().unwrap();
