@@ -40,18 +40,21 @@ impl<V> IntervalMap<V> {
     }
 
     /// Insert `[start, end) -> value`, evicting overlapping ranges.
+    /// Returns how many ranges it evicted.
     ///
     /// # Panics
     ///
     /// Panics if `start >= end`.
-    pub fn insert(&mut self, start: u64, end: u64, value: V) {
+    pub fn insert(&mut self, start: u64, end: u64, value: V) -> usize {
         assert!(start < end, "empty interval");
-        self.remove_overlapping(start, end);
+        let evicted = self.remove_overlapping(start, end);
         self.map.insert(start, (end, value));
+        evicted
     }
 
-    /// Remove every range overlapping `[start, end)`.
-    pub fn remove_overlapping(&mut self, start: u64, end: u64) {
+    /// Remove every range overlapping `[start, end)`, returning how many
+    /// it removed.
+    pub fn remove_overlapping(&mut self, start: u64, end: u64) -> usize {
         // Candidate ranges begin before `end`; collect starts to remove.
         let doomed: Vec<u64> = self
             .map
@@ -62,9 +65,10 @@ impl<V> IntervalMap<V> {
             .collect();
         // `take_while` from the back works because ranges are disjoint:
         // once a range ends at or before `start`, all earlier ones do too.
-        for s in doomed {
-            self.map.remove(&s);
+        for s in &doomed {
+            self.map.remove(s);
         }
+        doomed.len()
     }
 
     /// Remove the range that *starts* exactly at `start`.
@@ -176,7 +180,7 @@ mod tests {
         for i in 0..10u64 {
             m.insert(i * 10, i * 10 + 10, i);
         }
-        m.insert(15, 85, 99);
+        assert_eq!(m.insert(15, 85, 99), 8);
         // Ranges [10,20) .. [80,90) overlap [15,85) and are gone.
         assert_eq!(m.get(5), Some(&0));
         assert_eq!(m.get(50), Some(&99));

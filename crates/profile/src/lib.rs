@@ -18,7 +18,12 @@
 //!   values (dijkstra's "the work list is empty at iteration start").
 //!
 //! All but the boundary profiler run together in one instrumented
-//! execution via [`suite::profile_module`].
+//! execution via [`suite::profile_module`]. That run is a set of
+//! specialised profilers over shadow state: flow dependences come from
+//! per-byte `(stamp, site)` last-writer shadow pages compared against
+//! the stamps of the mirrored loop stack, loop weights from a per-block
+//! instruction clock, and per-site results from dense tables. The
+//! [`suite`] module documentation gives the layout and the rules.
 
 pub mod boundary;
 pub mod interval;

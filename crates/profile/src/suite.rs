@@ -1,16 +1,49 @@
 //! The combined profiling suite: pointer-to-object, lifetime, control,
 //! flow-dependence and hotness profiling in one instrumented run (§4.1).
+//!
+//! The suite is a set of specialised profilers over shadow state, in the
+//! manner of PROMPT: each interpreter event updates a dense table or a
+//! shadow page, and [`ProfileSuite::finish`] converts them into the
+//! ordered maps of [`Profile`].
+//!
+//! * **Flow dependences.** A counter, the *stamp*, ticks on every loop
+//!   entry and every iteration start. The suite mirrors the loop stack;
+//!   each frame records the stamp of its invocation's start and of its
+//!   current iteration's start, and whether it is the *outermost* frame of
+//!   its `(func, loop)` (recursion can put one loop on the stack twice). A
+//!   store writes `(stamp, dense site index)` into every byte it covers, in
+//!   paged shadow memory shaped like [`AddressSpace`]'s 4 KiB pages. A
+//!   load walks each run of bytes with one writer once, and reports a
+//!   cross-iteration dependence for frame `f` iff `f` is outermost and
+//!   `f.inv_start <= stamp < f.iter_start`: the write happened in this
+//!   invocation of `f`'s loop, in an earlier iteration. That is the test
+//!   "the writer's first frame of this loop is the same invocation, at an
+//!   earlier iteration": an inner frame of a recursive loop was entered
+//!   after its outermost twin, so the writer's first frame of that loop is
+//!   never the inner one. Frames nest, so every frame below the innermost
+//!   frame with `inv_start <= stamp` has `iter_start < stamp`; only that
+//!   one frame can match.
+//! * **Loop weights.** Entering a block adds its non-phi instruction count
+//!   to an instruction clock. A loop invocation's weight is the clock at
+//!   its exit minus the clock at its entry; the program's instruction
+//!   count is the final clock. A recursive loop's nested invocations count
+//!   again in the enclosing ones, as every instruction counts once per
+//!   active frame.
+//! * **Site tables.** Access sites and blocks index dense per-module
+//!   tables. Each access site caches the object interval it last hit; the
+//!   cache stays valid until the object map next removes an entry, and an
+//!   access inside it skips the interval-map query.
 
 use crate::interval::IntervalMap;
 use crate::names::{CallSite, ObjectName};
 use privateer_ir::loops::LoopId;
-use privateer_ir::{BlockId, FuncId, InstId, Module};
+use privateer_ir::{BlockId, FuncId, InstId, InstKind, Module};
 use privateer_vm::hooks::{AllocKind, ExecCtx, Hooks, LoopFrame};
 use privateer_vm::interp::{Interp, ProgramImage};
+use privateer_vm::mem::PAGE_SHIFT;
 use privateer_vm::runtime::BasicRuntime;
-use privateer_vm::{AddressSpace, Trap};
+use privateer_vm::{AddressSpace, Trap, PAGE_SIZE};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::rc::Rc;
 
 /// Identifies a loop module-wide.
 pub type LoopRef = (FuncId, LoopId);
@@ -60,12 +93,6 @@ pub struct DepInfo {
 }
 
 const DEP_ADDR_CAP: usize = 64;
-
-#[derive(Debug, Clone)]
-struct WriterInfo {
-    src: CallSite,
-    frames: Vec<LoopFrame>,
-}
 
 #[derive(Debug, Clone)]
 struct LiveObj {
@@ -127,79 +154,268 @@ impl Profile {
     }
 }
 
-/// The [`Hooks`] implementation that gathers a [`Profile`].
+/// One loop frame of the mirrored loop stack.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    lp: LoopRef,
+    /// Stamp of this invocation's start.
+    inv_start: u64,
+    /// Stamp of the current iteration's start.
+    iter_start: u64,
+    /// Instruction clock at entry.
+    clock_at_entry: u64,
+    /// No enclosing frame has the same loop.
+    outermost: bool,
+}
+
+/// Paged last-writer shadow memory: for each written byte, the stamp at
+/// the time of the store and the store's dense site index. Pages are
+/// materialised on first write, in the order written; page slot `k` owns
+/// entries `k * PAGE_SIZE ..` of `stamps` and `sites`.
 #[derive(Debug, Default)]
+struct Shadow {
+    slots: HashMap<u64, usize>,
+    stamps: Vec<u64>,
+    sites: Vec<u32>,
+    /// `(page number, slot)` of the last page touched.
+    last: Option<(u64, usize)>,
+}
+
+impl Shadow {
+    /// The slot of page `page_no`, if it was ever written.
+    fn find(&mut self, page_no: u64) -> Option<usize> {
+        match self.last {
+            Some((p, slot)) if p == page_no => Some(slot),
+            _ => {
+                let slot = *self.slots.get(&page_no)?;
+                self.last = Some((page_no, slot));
+                Some(slot)
+            }
+        }
+    }
+
+    /// The slot of page `page_no`, materialising it zeroed.
+    fn find_or_insert(&mut self, page_no: u64) -> usize {
+        if let Some(slot) = self.find(page_no) {
+            return slot;
+        }
+        let slot = self.slots.len();
+        let len = (slot + 1) * PAGE_SIZE as usize;
+        self.stamps.resize(len, 0);
+        self.sites.resize(len, 0);
+        self.slots.insert(page_no, slot);
+        self.last = Some((page_no, slot));
+        slot
+    }
+
+    /// Record `(stamp, site)` as the last writer of `[addr, addr + size)`.
+    fn write(&mut self, addr: u64, size: u32, stamp: u64, site: u32) {
+        for (page_no, off, n) in page_chunks(addr, size) {
+            let at = self.find_or_insert(page_no) * PAGE_SIZE as usize + off;
+            self.stamps[at..at + n].fill(stamp);
+            self.sites[at..at + n].fill(site);
+        }
+    }
+}
+
+/// `[addr, addr + size)` split at page boundaries, as `(page number,
+/// offset in the page, length)`.
+fn page_chunks(addr: u64, size: u32) -> impl Iterator<Item = (u64, usize, usize)> {
+    let end = addr + u64::from(size);
+    let mut a = addr;
+    std::iter::from_fn(move || {
+        (a < end).then(|| {
+            let off = (a & (PAGE_SIZE - 1)) as usize;
+            let n = ((end - a) as usize).min(PAGE_SIZE as usize - off);
+            let chunk = (a >> PAGE_SHIFT, off, n);
+            a += n as u64;
+            chunk
+        })
+    })
+}
+
+/// What one access site observed.
+#[derive(Debug, Clone, Default)]
+struct AccessSite {
+    /// The site executed at least once.
+    seen: bool,
+    /// Its pointer-to-object set.
+    objects: BTreeSet<ObjectName>,
+    /// The object interval the site last hit (empty: none), valid while
+    /// `hit_epoch` equals the suite's removal epoch.
+    hit: (u64, u64),
+    hit_epoch: u64,
+    /// Flow dependences into this (loading) site, as
+    /// `((loop, writing site), dependence)`.
+    deps: Vec<((LoopRef, u32), DepInfo)>,
+}
+
+/// The [`Hooks`] implementation that gathers a [`Profile`].
+#[derive(Debug)]
 pub struct ProfileSuite {
     objmap: IntervalMap<ObjectName>,
-    access_objects: BTreeMap<CallSite, BTreeSet<ObjectName>>,
+    /// Bumped whenever `objmap` loses an entry; invalidates site caches.
+    objmap_epoch: u64,
     live: HashMap<u64, LiveObj>,
     allocated_under: BTreeSet<(ObjectName, LoopRef)>,
     lifetime_violations: BTreeSet<(ObjectName, LoopRef)>,
-    last_writer: HashMap<u64, Rc<WriterInfo>>,
-    cross_deps: BTreeMap<LoopRef, BTreeMap<(CallSite, CallSite), DepInfo>>,
-    loop_stats: BTreeMap<LoopRef, LoopStats>,
-    branch_stats: BTreeMap<(FuncId, BlockId), BranchStats>,
-    executed_blocks: BTreeSet<(FuncId, BlockId)>,
-    total_insts: u64,
+    /// Dense site index of each function's first instruction.
+    inst_base: Vec<u32>,
+    /// Dense block index of each function's first block.
+    block_base: Vec<u32>,
+    /// The call site of each dense site index.
+    sites: Vec<CallSite>,
+    access: Vec<AccessSite>,
+    /// The block of each dense block index.
+    blocks: Vec<(FuncId, BlockId)>,
+    /// Non-phi instructions per dense block.
+    block_len: Vec<u64>,
+    executed: Vec<bool>,
+    branches: Vec<BranchStats>,
+    /// Per function, per loop index.
+    loops: Vec<Vec<LoopStats>>,
+    /// The mirrored loop stack, outermost first.
+    frames: Vec<Frame>,
+    /// Ticks on every loop entry and iteration start.
+    stamp: u64,
+    /// Non-phi instructions executed so far.
+    clock: u64,
+    shadow: Shadow,
 }
 
 impl ProfileSuite {
     /// A suite with globals pre-registered in the object map.
     pub fn new(module: &Module, image: &ProgramImage) -> ProfileSuite {
-        let mut suite = ProfileSuite::default();
+        let mut objmap = IntervalMap::new();
         for g in module.global_ids() {
             let addr = image.global_addrs[g.index()];
             let size = module.global(g).size.max(1);
-            suite
-                .objmap
-                .insert(addr, addr + size, ObjectName::Global(g));
+            objmap.insert(addr, addr + size, ObjectName::Global(g));
         }
-        suite
+        let mut inst_base = Vec::with_capacity(module.functions.len());
+        let mut block_base = Vec::with_capacity(module.functions.len());
+        let mut sites = Vec::new();
+        let mut blocks = Vec::new();
+        let mut block_len = Vec::new();
+        for (f, func) in module.func_ids().zip(&module.functions) {
+            inst_base.push(sites.len() as u32);
+            block_base.push(blocks.len() as u32);
+            sites.extend((0..func.insts.len()).map(|i| (f, InstId::new(i))));
+            blocks.extend(func.block_ids().map(|b| (f, b)));
+            block_len.extend(func.blocks.iter().map(|b| {
+                b.insts
+                    .iter()
+                    .filter(|&&i| !matches!(func.inst(i).kind, InstKind::Phi(..)))
+                    .count() as u64
+            }));
+        }
+        ProfileSuite {
+            objmap,
+            objmap_epoch: 0,
+            live: HashMap::new(),
+            allocated_under: BTreeSet::new(),
+            lifetime_violations: BTreeSet::new(),
+            access: vec![AccessSite::default(); sites.len()],
+            executed: vec![false; block_len.len()],
+            branches: vec![BranchStats::default(); block_len.len()],
+            loops: vec![Vec::new(); module.functions.len()],
+            inst_base,
+            block_base,
+            sites,
+            blocks,
+            block_len,
+            frames: Vec::new(),
+            stamp: 0,
+            clock: 0,
+            shadow: Shadow::default(),
+        }
     }
 
-    fn record_access(&mut self, ctx: &ExecCtx, func: FuncId, inst: InstId, addr: u64, size: u32) {
-        let names: Vec<ObjectName> = self
-            .objmap
-            .query_range(addr, addr + size.max(1) as u64)
-            .into_iter()
-            .map(|(_, _, n)| n.clone())
-            .collect();
-        let entry = self.access_objects.entry((func, inst)).or_default();
-        for n in names {
-            entry.insert(n);
-        }
-        let _ = ctx;
+    fn site(&self, func: FuncId, inst: InstId) -> usize {
+        self.inst_base[func.index()] as usize + inst.index()
     }
 
-    fn note_flow(&mut self, ctx: &ExecCtx, dst: CallSite, addr: u64, size: u32) {
-        for b in addr..addr + size as u64 {
-            let Some(w) = self.last_writer.get(&b).cloned() else {
+    fn block(&self, func: FuncId, block: BlockId) -> usize {
+        self.block_base[func.index()] as usize + block.index()
+    }
+
+    fn loop_stats(&mut self, (func, l): LoopRef) -> &mut LoopStats {
+        let stats = &mut self.loops[func.index()];
+        if stats.len() <= l.index() {
+            stats.resize(l.index() + 1, LoopStats::default());
+        }
+        &mut stats[l.index()]
+    }
+
+    fn record_access(&mut self, site: usize, addr: u64, size: u32) {
+        let end = addr + u64::from(size.max(1));
+        let a = &mut self.access[site];
+        a.seen = true;
+        if a.hit_epoch == self.objmap_epoch && a.hit.0 <= addr && end <= a.hit.1 {
+            return;
+        }
+        let hits = self.objmap.query_range(addr, end);
+        for &(_, _, name) in &hits {
+            if !a.objects.contains(name) {
+                a.objects.insert(name.clone());
+            }
+        }
+        a.hit = match hits[..] {
+            [(lo, hi, _)] if lo <= addr && end <= hi => (lo, hi),
+            _ => (0, 0),
+        };
+        a.hit_epoch = self.objmap_epoch;
+    }
+
+    /// The loop for which a byte last written at `stamp` is a
+    /// cross-iteration flow dependence now, if any (see the module docs).
+    fn carried_by(&self, stamp: u64) -> Option<LoopRef> {
+        let f = self.frames.iter().rev().find(|f| f.inv_start <= stamp)?;
+        (f.outermost && stamp < f.iter_start).then_some(f.lp)
+    }
+
+    fn note_flow(&mut self, dst: u32, addr: u64, size: u32) {
+        for (page_no, off, n) in page_chunks(addr, size) {
+            let Some(slot) = self.shadow.find(page_no) else {
                 continue;
             };
-            // For each loop active at both the write and the read, in the
-            // same invocation: earlier iteration => loop-carried flow dep.
-            for rf in &ctx.loop_stack {
-                let Some(wf) = w
-                    .frames
-                    .iter()
-                    .find(|wf| wf.func == rf.func && wf.loop_id == rf.loop_id)
-                else {
-                    continue;
-                };
-                if wf.invocation == rf.invocation && wf.iter < rf.iter {
-                    let dep = self
-                        .cross_deps
-                        .entry((rf.func, rf.loop_id))
-                        .or_default()
-                        .entry((w.src, dst))
-                        .or_default();
-                    dep.count += 1;
-                    if dep.addrs.len() < DEP_ADDR_CAP {
-                        dep.addrs.insert(b);
-                    } else {
-                        dep.addrs_overflow = true;
-                    }
+            // Walk each run of bytes with one last writer once.
+            let base = slot * PAGE_SIZE as usize;
+            let (mut i, end) = (base + off, base + off + n);
+            while i < end {
+                let (stamp, src) = (self.shadow.stamps[i], self.shadow.sites[i]);
+                let mut j = i + 1;
+                while j < end && self.shadow.stamps[j] == stamp && self.shadow.sites[j] == src {
+                    j += 1;
                 }
+                if let Some(lp) = self.carried_by(stamp) {
+                    let first = (page_no << PAGE_SHIFT) + (i - base) as u64;
+                    self.record_dep(lp, src, dst, first, j - i);
+                }
+                i = j;
+            }
+        }
+    }
+
+    /// Count the `len` bytes from `first` as flow from site `src` into
+    /// site `dst`, carried by `lp`.
+    fn record_dep(&mut self, lp: LoopRef, src: u32, dst: u32, first: u64, len: usize) {
+        let deps = &mut self.access[dst as usize].deps;
+        let k = match deps.iter().position(|(k, _)| *k == (lp, src)) {
+            Some(k) => k,
+            None => {
+                deps.push(((lp, src), DepInfo::default()));
+                deps.len() - 1
+            }
+        };
+        let dep = &mut deps[k].1;
+        dep.count += len as u64;
+        for b in first..first + len as u64 {
+            if dep.addrs.len() < DEP_ADDR_CAP {
+                dep.addrs.insert(b);
+            } else {
+                dep.addrs_overflow = true;
+                break;
             }
         }
     }
@@ -220,7 +436,9 @@ impl ProfileSuite {
                         .insert((obj.name.clone(), (af.func, af.loop_id)));
                 }
             }
-            self.objmap.remove_at(addr);
+            if self.objmap.remove_at(addr).is_some() {
+                self.objmap_epoch += 1;
+            }
         }
     }
 
@@ -240,15 +458,53 @@ impl ProfileSuite {
             .filter(|k| !self.lifetime_violations.contains(k))
             .cloned()
             .collect();
+        let mut access_objects = BTreeMap::new();
+        let mut cross_deps: BTreeMap<LoopRef, BTreeMap<(CallSite, CallSite), DepInfo>> =
+            BTreeMap::new();
+        for (&dst, a) in self.sites.iter().zip(self.access) {
+            for ((lp, src), dep) in a.deps {
+                let key = (self.sites[src as usize], dst);
+                cross_deps.entry(lp).or_default().insert(key, dep);
+            }
+            if a.seen {
+                access_objects.insert(dst, a.objects);
+            }
+        }
+        let loop_stats = self
+            .loops
+            .iter()
+            .enumerate()
+            .flat_map(|(f, stats)| {
+                stats
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.invocations > 0)
+                    .map(move |(l, &s)| ((FuncId::new(f), LoopId::new(l)), s))
+            })
+            .collect();
+        let branch_stats = self
+            .blocks
+            .iter()
+            .zip(&self.branches)
+            .filter(|(_, s)| s.taken + s.not_taken > 0)
+            .map(|(&k, &s)| (k, s))
+            .collect();
+        let executed_blocks = self
+            .blocks
+            .iter()
+            .zip(&self.executed)
+            .filter(|(_, &e)| e)
+            .map(|(&k, _)| k)
+            .collect();
         Profile {
-            access_objects: self.access_objects,
+            access_objects,
             short_lived,
             allocated_under: self.allocated_under,
-            cross_deps: self.cross_deps,
-            loop_stats: self.loop_stats,
-            branch_stats: self.branch_stats,
-            executed_blocks: self.executed_blocks,
-            total_insts: self.total_insts,
+            cross_deps,
+            loop_stats,
+            branch_stats,
+            executed_blocks,
+            total_insts: self.clock,
         }
     }
 }
@@ -256,34 +512,32 @@ impl ProfileSuite {
 impl Hooks for ProfileSuite {
     fn on_load(
         &mut self,
-        ctx: &ExecCtx,
+        _ctx: &ExecCtx,
         func: FuncId,
         inst: InstId,
         addr: u64,
         size: u32,
         _mem: &AddressSpace,
     ) {
-        self.record_access(ctx, func, inst, addr, size);
-        self.note_flow(ctx, (func, inst), addr, size);
+        let site = self.site(func, inst);
+        self.record_access(site, addr, size);
+        if !self.frames.is_empty() {
+            self.note_flow(site as u32, addr, size);
+        }
     }
 
     fn on_store(
         &mut self,
-        ctx: &ExecCtx,
+        _ctx: &ExecCtx,
         func: FuncId,
         inst: InstId,
         addr: u64,
         size: u32,
         _mem: &AddressSpace,
     ) {
-        self.record_access(ctx, func, inst, addr, size);
-        let info = Rc::new(WriterInfo {
-            src: (func, inst),
-            frames: ctx.loop_stack.clone(),
-        });
-        for b in addr..addr + size as u64 {
-            self.last_writer.insert(b, Rc::clone(&info));
-        }
+        let site = self.site(func, inst);
+        self.record_access(site, addr, size);
+        self.shadow.write(addr, size, self.stamp, site as u32);
     }
 
     fn on_alloc(
@@ -299,7 +553,9 @@ impl Hooks for ProfileSuite {
             site: (func, inst),
             path: ctx.call_path(),
         };
-        self.objmap.insert(addr, addr + size.max(1), name.clone());
+        if self.objmap.insert(addr, addr + size.max(1), name.clone()) > 0 {
+            self.objmap_epoch += 1;
+        }
         for f in &ctx.loop_stack {
             self.allocated_under
                 .insert((name.clone(), (f.func, f.loop_id)));
@@ -317,12 +573,14 @@ impl Hooks for ProfileSuite {
         // Free sites participate in the pointer-to-object map too — the
         // replace-allocation pass needs to know which objects a `free`
         // releases (§4.4).
-        self.record_access(ctx, func, inst, addr, 1);
+        let site = self.site(func, inst);
+        self.record_access(site, addr, 1);
         self.note_dealloc(ctx, addr);
     }
 
     fn on_cond_branch(&mut self, _ctx: &ExecCtx, func: FuncId, block: BlockId, taken: bool) {
-        let e = self.branch_stats.entry((func, block)).or_default();
+        let b = self.block(func, block);
+        let e = &mut self.branches[b];
         if taken {
             e.taken += 1;
         } else {
@@ -331,10 +589,17 @@ impl Hooks for ProfileSuite {
     }
 
     fn on_loop_enter(&mut self, _ctx: &ExecCtx, func: FuncId, loop_id: LoopId) {
-        self.loop_stats
-            .entry((func, loop_id))
-            .or_default()
-            .invocations += 1;
+        let lp = (func, loop_id);
+        self.stamp += 1;
+        let outermost = !self.frames.iter().any(|f| f.lp == lp);
+        self.frames.push(Frame {
+            lp,
+            inv_start: self.stamp,
+            iter_start: self.stamp,
+            clock_at_entry: self.clock,
+            outermost,
+        });
+        self.loop_stats(lp).invocations += 1;
     }
 
     fn on_loop_iter(
@@ -345,24 +610,27 @@ impl Hooks for ProfileSuite {
         _iter: u64,
         _mem: &AddressSpace,
     ) {
-        self.loop_stats
-            .entry((func, loop_id))
-            .or_default()
-            .total_iters += 1;
+        self.stamp += 1;
+        let top = self
+            .frames
+            .last_mut()
+            .expect("iteration of an entered loop");
+        debug_assert_eq!(top.lp, (func, loop_id));
+        top.iter_start = self.stamp;
+        self.loop_stats((func, loop_id)).total_iters += 1;
+    }
+
+    fn on_loop_exit(&mut self, _ctx: &ExecCtx, func: FuncId, loop_id: LoopId, _trips: u64) {
+        let f = self.frames.pop().expect("exit of an entered loop");
+        debug_assert_eq!(f.lp, (func, loop_id));
+        let weight = self.clock - f.clock_at_entry;
+        self.loop_stats(f.lp).weight += weight;
     }
 
     fn on_block(&mut self, _ctx: &ExecCtx, func: FuncId, block: BlockId) {
-        self.executed_blocks.insert((func, block));
-    }
-
-    fn on_inst(&mut self, ctx: &ExecCtx, _func: FuncId) {
-        self.total_insts += 1;
-        for f in &ctx.loop_stack {
-            self.loop_stats
-                .entry((f.func, f.loop_id))
-                .or_default()
-                .weight += 1;
-        }
+        let b = self.block(func, block);
+        self.executed[b] = true;
+        self.clock += self.block_len[b];
     }
 }
 

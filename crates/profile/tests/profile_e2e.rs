@@ -3,88 +3,16 @@
 //! exactly what the paper's analyses need.
 
 use privateer_ir::builder::FunctionBuilder;
-use privateer_ir::{CmpOp, FuncId, Module, Type, Value};
+use privateer_ir::loops::LoopId;
+use privateer_ir::{CmpOp, FuncId, InstKind, Module, Type, Value};
 use privateer_profile::{profile_module, ObjectName};
 use privateer_vm::load_module;
 
-/// Build:
-///
-/// ```c
-/// long acc_cell;                 // global, written+read across iterations
-/// long table[8];                 // global, re-initialized each iteration
-/// for (i = 0; i < 6; i++) {      // outer hot loop
-///     for (j = 0; j < 8; j++) table[j] = i;       // kill: write-first
-///     node = malloc(16); node[0] = table[i % 8];  // short-lived node
-///     acc_cell = acc_cell + node[0];              // cross-iteration flow
-///     free(node);
-/// }
-/// print(acc_cell);
-/// ```
-fn build_program() -> Module {
-    let mut m = Module::new("reuse");
-    let acc = m.add_global("acc_cell", 8);
-    let table = m.add_global("table", 64);
-
-    let mut b = FunctionBuilder::new("main", vec![], None);
-    let oh = b.new_block();
-    let init_h = b.new_block();
-    let init_b = b.new_block();
-    let work = b.new_block();
-    let ol = b.new_block();
-    let exit = b.new_block();
-    b.br(oh);
-
-    // outer header
-    b.switch_to(oh);
-    let (i, i_phi) = b.phi(Type::I64);
-    b.add_phi_incoming(i_phi, b.entry_block(), Value::const_i64(0));
-    let c = b.icmp(CmpOp::Lt, i, Value::const_i64(6));
-    b.cond_br(c, init_h, exit);
-
-    // inner init loop header
-    b.switch_to(init_h);
-    let (j, j_phi) = b.phi(Type::I64);
-    b.add_phi_incoming(j_phi, oh, Value::const_i64(0));
-    let cj = b.icmp(CmpOp::Lt, j, Value::const_i64(8));
-    b.cond_br(cj, init_b, work);
-
-    b.switch_to(init_b);
-    let slot = b.gep(Value::Global(table), j, 8, 0);
-    b.store(Type::I64, i, slot);
-    let j2 = b.add(Type::I64, j, Value::const_i64(1));
-    b.add_phi_incoming(j_phi, init_b, j2);
-    b.br(init_h);
-
-    // work: malloc node, read table, accumulate into acc_cell
-    b.switch_to(work);
-    let node = b.malloc(Value::const_i64(16));
-    let idx = b.bin(privateer_ir::BinOp::SRem, Type::I64, i, Value::const_i64(8));
-    let tslot = b.gep(Value::Global(table), idx, 8, 0);
-    let tv = b.load(Type::I64, tslot);
-    b.store(Type::I64, tv, node);
-    let nv = b.load(Type::I64, node);
-    let old = b.load(Type::I64, Value::Global(acc));
-    let sum = b.add(Type::I64, old, nv);
-    b.store(Type::I64, sum, Value::Global(acc));
-    b.free(node);
-    b.br(ol);
-
-    b.switch_to(ol);
-    let i2 = b.add(Type::I64, i, Value::const_i64(1));
-    b.add_phi_incoming(i_phi, ol, i2);
-    b.br(oh);
-
-    b.switch_to(exit);
-    let fin = b.load(Type::I64, Value::Global(acc));
-    b.print_i64(fin);
-    b.ret(None);
-    m.add_function(b.finish());
-    m
-}
+mod programs;
 
 #[test]
 fn profile_identifies_reuse_patterns() {
-    let m = build_program();
+    let m = programs::reuse_program();
     privateer_ir::verify::verify_module(&m).unwrap();
     let image = load_module(&m);
     let (profile, out) = profile_module(&m, &image).unwrap();
@@ -250,4 +178,50 @@ fn branch_bias_and_hotness_measured() {
     assert!(stats.weight as f64 > 0.9 * profile.total_insts as f64);
     assert_eq!(stats.invocations, 1);
     assert_eq!(stats.total_iters, 51);
+}
+
+#[test]
+fn recursion_through_a_loop_reports_only_the_outermost_dependence() {
+    let m = programs::recursive_loop_program();
+    privateer_ir::verify::verify_module(&m).unwrap();
+    let image = load_module(&m);
+    let (profile, out) = profile_module(&m, &image).unwrap();
+    // f(0) and the nested f(1) each increment g twice.
+    assert_eq!(out, b"4\n");
+
+    let f = m.func_by_name("f").unwrap();
+    let lp = (f, LoopId::new(0));
+    let site = |want: fn(&InstKind) -> bool| {
+        let func = m.func(f);
+        let i = func.insts.iter().position(|inst| want(&inst.kind)).unwrap();
+        (f, privateer_ir::InstId::new(i))
+    };
+    let load = site(|k| matches!(k, InstKind::Load(..)));
+    let store = site(|k| matches!(k, InstKind::Store(..)));
+    let g = image.global_addrs[m.global_by_name("g").unwrap().index()];
+
+    // The outer invocation O of L reads in its iteration 1 the g that its
+    // iteration 0 wrote (g was last written by the nested invocation I,
+    // still inside O's iteration 0): one dependence, 8 bytes. I also reads
+    // in its iteration 1 what its iteration 0 wrote, but L is on the stack
+    // twice then; only the outermost occurrence reports, so I adds nothing.
+    let deps: Vec<_> = profile.deps_of(lp).collect();
+    assert_eq!(deps.len(), 1, "{deps:?}");
+    let (&(src, dst), info) = deps[0];
+    assert_eq!((src, dst), (store, load));
+    assert_eq!(info.count, 8);
+    assert_eq!(info.addrs, (g..g + 8).collect());
+    assert!(!info.addrs_overflow);
+    assert_eq!(profile.cross_deps.len(), 1);
+
+    // Weights (instruction counts in `recursive_loop_program`'s docs):
+    // I runs header 3 × 1 + body 2 × 5 + latch 2 × 1 = 15 instructions;
+    // O runs the same 15, plus the call (1) and I's 15, so 31. I's
+    // instructions count in both invocations: 31 + 15 = 46.
+    let stats = profile.loop_stats[&lp];
+    assert_eq!(stats.invocations, 2);
+    assert_eq!(stats.total_iters, 6);
+    assert_eq!(stats.weight, 46);
+    // main's call, load and print, plus O's 31.
+    assert_eq!(profile.total_insts, 34);
 }

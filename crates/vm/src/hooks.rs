@@ -2,8 +2,9 @@
 //!
 //! The interpreter is generic over a [`Hooks`] implementation; the default
 //! [`NopHooks`] compiles away. Profilers (crate `privateer-profile`)
-//! implement `Hooks` to observe memory accesses, allocations, branches and
-//! loop iterations — the events the paper's profilers consume (§4.1).
+//! implement `Hooks` to observe memory accesses, allocations, branches,
+//! block entries and loop iterations — the events the paper's profilers
+//! consume (§4.1).
 
 use crate::mem::AddressSpace;
 use privateer_ir::loops::LoopId;
@@ -141,7 +142,10 @@ pub trait Hooks {
     /// When control leaves a loop after `trips` iterations.
     fn on_loop_exit(&mut self, ctx: &ExecCtx, func: FuncId, loop_id: LoopId, trips: u64) {}
 
-    /// When control enters a basic block.
+    /// When control enters a basic block: after the loop events of the
+    /// transfer, before any of the block's instructions run. There is no
+    /// per-instruction event; a profiler that attributes instructions
+    /// counts the block's non-phi instructions here.
     fn on_block(&mut self, ctx: &ExecCtx, func: FuncId, block: privateer_ir::BlockId) {}
 
     /// Before a call executes.
@@ -149,10 +153,6 @@ pub trait Hooks {
 
     /// After a function returns.
     fn on_ret(&mut self, ctx: &ExecCtx, callee: FuncId) {}
-
-    /// After every interpreted instruction (hot; implement only in
-    /// profilers that need instruction-level attribution).
-    fn on_inst(&mut self, ctx: &ExecCtx, func: FuncId) {}
 }
 
 /// The do-nothing hooks used for production runs; every callback inlines to
@@ -251,7 +251,6 @@ mod tests {
     fn nop_hooks_compile() {
         let mut h = NopHooks;
         let ctx = ExecCtx::default();
-        h.on_inst(&ctx, FuncId::new(0));
         h.on_loop_iter(
             &ctx,
             FuncId::new(0),

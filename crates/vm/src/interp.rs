@@ -364,7 +364,6 @@ impl<'m, H: Hooks, R: RuntimeIface> Interp<'m, H, R> {
                 if self.steps > self.step_limit {
                     return Err(Trap::StepLimit);
                 }
-                self.hooks.on_inst(&self.ctx, func_id);
                 let out = self.exec_inst(func_id, func, &mut regs, &args, &mut allocas, i)?;
                 regs[i.index()] = out;
             }
