@@ -26,7 +26,7 @@ use privateer_telemetry::{
     WorkerTelemetry, ENGINE_TRACK,
 };
 use privateer_vm::interp::{Interp, ProgramImage};
-use privateer_vm::{AddressSpace, MisspecKind, NopHooks, RuntimeIface, Trap, Val};
+use privateer_vm::{AddressSpace, Code, MisspecKind, NopHooks, RuntimeIface, Trap, Val};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -568,7 +568,7 @@ impl MainRuntime {
     fn span(
         &mut self,
         module: &Module,
-        global_addrs: &[u64],
+        code: &Arc<Code>,
         body: FuncId,
         lo: i64,
         hi: i64,
@@ -606,7 +606,10 @@ impl MainRuntime {
 
         // Earliest iteration workers must stop at, shared with them.
         let flag = AtomicI64::new(i64::MAX);
-        let (tx, rx) = mpsc::channel::<Msg>();
+        // A bounded queue: a worker that runs ahead of the merge blocks
+        // instead of piling up contributions, each of which pins its pages.
+        // This thread only ever receives, so a blocked sender always wakes.
+        let (tx, rx) = mpsc::sync_channel::<Msg>(w_count);
         let cfg = self.cfg;
         let mut max_busy = 0u64;
 
@@ -619,21 +622,8 @@ impl MainRuntime {
                 let wsched = self.sched.clone();
                 scope.spawn(move || {
                     worker_main(
-                        w,
-                        w_count,
-                        module,
-                        global_addrs,
-                        body,
-                        lo,
-                        hi,
-                        k,
-                        cfg,
-                        worker_mem,
-                        redux,
-                        tx,
-                        flag,
-                        wtel,
-                        wsched,
+                        w, w_count, module, code, body, lo, hi, k, cfg, worker_mem, redux, tx,
+                        flag, wtel, wsched,
                     );
                 });
             }
@@ -710,7 +700,7 @@ impl MainRuntime {
     fn recover(
         &mut self,
         module: &Module,
-        global_addrs: &[u64],
+        code: &Arc<Code>,
         recovery: FuncId,
         from: i64,
         through: i64,
@@ -722,14 +712,8 @@ impl MainRuntime {
             &mut self.events,
             EngineEvent::Recovery { from, through },
         );
-        let (result, out, rec_insts) = run_recovery(
-            module,
-            global_addrs,
-            &self.heaps,
-            recovery,
-            from..through + 1,
-            mem,
-        );
+        let (result, out, rec_insts) =
+            run_recovery(module, code, &self.heaps, recovery, from..through + 1, mem);
         self.out.extend(out);
         self.stats.sim.total += rec_insts;
         self.stats.sim.recovery += rec_insts;
@@ -771,7 +755,7 @@ fn worker_main(
     w: usize,
     w_count: usize,
     module: &Module,
-    global_addrs: &[u64],
+    code: &Arc<Code>,
     body: FuncId,
     lo: i64,
     hi: i64,
@@ -779,14 +763,14 @@ fn worker_main(
     cfg: EngineConfig,
     mem: AddressSpace,
     redux: &[(ReduxOp, u64, u64)],
-    tx: mpsc::Sender<Msg>,
+    tx: mpsc::SyncSender<Msg>,
     flag: &AtomicI64,
     wtel: WorkerTelemetry,
     sched: Option<Arc<VirtualScheduler>>,
 ) {
     let mut rt = WorkerRuntime::new(w, cfg.inject_rate, cfg.inject_seed);
     rt.tel = wtel;
-    let mut interp = Interp::with_mem(module, mem, global_addrs.to_vec(), NopHooks, rt);
+    let mut interp = Interp::with_code(module, Arc::clone(code), mem, NopHooks, rt);
     let mut delta = DeltaTracker::seeded(&interp.mem);
     let mut period: u64 = 0;
     'periods: loop {
@@ -893,7 +877,7 @@ impl RuntimeIface for MainRuntime {
     fn parallel_invoke(
         &mut self,
         module: &Module,
-        global_addrs: &[u64],
+        code: &Arc<Code>,
         plan: PlanEntry,
         lo: i64,
         hi: i64,
@@ -908,10 +892,10 @@ impl RuntimeIface for MainRuntime {
         push_event(&self.tel, &mut self.events, EngineEvent::Invoke { lo, hi });
         let mut next = lo;
         while next < hi {
-            match self.span(module, global_addrs, plan.body, next, hi, mem)? {
+            match self.span(module, code, plan.body, next, hi, mem)? {
                 SpanOutcome::Complete => next = hi,
                 SpanOutcome::Misspec { iter, resume_base } => {
-                    self.recover(module, global_addrs, plan.recovery, resume_base, iter, mem)?;
+                    self.recover(module, code, plan.recovery, resume_base, iter, mem)?;
                     next = iter + 1;
                     if next < hi {
                         push_event(
@@ -935,7 +919,7 @@ impl RuntimeIface for MainRuntime {
 /// result, the output printed, and the instructions executed.
 fn run_recovery(
     module: &Module,
-    global_addrs: &[u64],
+    code: &Arc<Code>,
     heaps: &SharedHeaps,
     recovery: FuncId,
     mut iters: Range<i64>,
@@ -946,7 +930,7 @@ fn run_recovery(
         out: Vec::new(),
     };
     let taken = std::mem::take(mem);
-    let mut interp = Interp::with_mem(module, taken, global_addrs.to_vec(), NopHooks, rt);
+    let mut interp = Interp::with_code(module, Arc::clone(code), taken, NopHooks, rt);
     let result =
         iters.try_for_each(|iter| interp.call_function(recovery, &[Val::Int(iter)]).map(drop));
     *mem = interp.mem;
@@ -997,20 +981,13 @@ impl RuntimeIface for SequentialPlanRuntime {
     fn parallel_invoke(
         &mut self,
         module: &Module,
-        global_addrs: &[u64],
+        code: &Arc<Code>,
         plan: PlanEntry,
         lo: i64,
         hi: i64,
         mem: &mut AddressSpace,
     ) -> Result<(), Trap> {
-        let (result, out, _) = run_recovery(
-            module,
-            global_addrs,
-            &self.heaps,
-            plan.recovery,
-            lo..hi,
-            mem,
-        );
+        let (result, out, _) = run_recovery(module, code, &self.heaps, plan.recovery, lo..hi, mem);
         self.out.extend(out);
         result
     }

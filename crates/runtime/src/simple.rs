@@ -11,7 +11,7 @@ use crate::model::{self, SimCost};
 use privateer_ir::{Heap, Module, PlanEntry};
 use privateer_vm::interp::{Interp, ProgramImage};
 use privateer_vm::mem::{GLOBAL_BASE, MALLOC_BASE, PAGE_SIZE, STACK_BASE};
-use privateer_vm::{AddressSpace, NopHooks, RuntimeIface, Trap, Val};
+use privateer_vm::{AddressSpace, Code, NopHooks, RuntimeIface, Trap, Val};
 use std::sync::Arc;
 
 /// Statistics of the unchecked engine.
@@ -111,7 +111,7 @@ impl RuntimeIface for UncheckedDoallRuntime {
     fn parallel_invoke(
         &mut self,
         module: &Module,
-        global_addrs: &[u64],
+        code: &Arc<Code>,
         plan: PlanEntry,
         lo: i64,
         hi: i64,
@@ -132,13 +132,8 @@ impl RuntimeIface for UncheckedDoallRuntime {
                     let worker_mem = base.fork();
                     scope.spawn(move || {
                         let rt = PlainWorkerRt::default();
-                        let mut interp = Interp::with_mem(
-                            module,
-                            worker_mem,
-                            global_addrs.to_vec(),
-                            NopHooks,
-                            rt,
-                        );
+                        let mut interp =
+                            Interp::with_code(module, Arc::clone(code), worker_mem, NopHooks, rt);
                         let mut iter = lo + w as i64;
                         while iter < hi {
                             interp.rt.cur_iter = iter;

@@ -5,7 +5,10 @@ use crate::shadow::{self, Access};
 use privateer_ir::inst::SHADOW_BIT;
 use privateer_ir::{Heap, Module, PlanEntry, ReduxOp};
 use privateer_telemetry::{Phase, WorkerTelemetry};
-use privateer_vm::{AddressSpace, MisspecKind, RegionAllocator, RuntimeIface, Trap, PAGE_SIZE};
+use privateer_vm::{
+    AddressSpace, Code, MisspecKind, RegionAllocator, RuntimeIface, Trap, PAGE_SIZE,
+};
+use std::sync::Arc;
 
 /// Deterministic per-iteration hash for misspeculation injection (§6.3).
 fn splitmix64(mut x: u64) -> u64 {
@@ -276,7 +279,7 @@ impl RuntimeIface for WorkerRuntime {
     fn parallel_invoke(
         &mut self,
         _module: &Module,
-        _global_addrs: &[u64],
+        _code: &Arc<Code>,
         _plan: PlanEntry,
         _lo: i64,
         _hi: i64,

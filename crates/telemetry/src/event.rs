@@ -26,9 +26,6 @@ pub enum Phase {
     Commit,
     /// Sequential misspeculation recovery (`a` = from, `b` = through).
     Recovery,
-    /// An interpreted loop observed via `TraceHooks` (`a` = loop index,
-    /// `b` = trip count).
-    Loop,
     /// Instant: misspeculation detected (`a` = iteration).
     Misspec,
     /// Instant: parallel execution resumed (`a` = iteration).
@@ -50,7 +47,6 @@ impl Phase {
             Phase::Merge => "merge",
             Phase::Commit => "commit",
             Phase::Recovery => "recovery",
-            Phase::Loop => "loop",
             Phase::Misspec => "misspec",
             Phase::Resume => "resume",
         }
@@ -60,7 +56,7 @@ impl Phase {
     pub fn category(self) -> &'static str {
         match self {
             Phase::Invoke | Phase::ParallelSpan | Phase::Misspec | Phase::Resume => "engine",
-            Phase::Iteration | Phase::Loop => "exec",
+            Phase::Iteration => "exec",
             Phase::PrivRead | Phase::PrivWrite => "privacy",
             Phase::Normalize | Phase::Package | Phase::Merge | Phase::Commit => "checkpoint",
             Phase::Recovery => "recovery",
@@ -79,7 +75,6 @@ impl Phase {
             Phase::Merge => ("period", "contribs"),
             Phase::Commit => ("period", ""),
             Phase::Recovery => ("from", "through"),
-            Phase::Loop => ("loop", "trips"),
             Phase::Misspec | Phase::Resume => ("iter", ""),
         }
     }
@@ -137,7 +132,6 @@ mod tests {
             Phase::Merge,
             Phase::Commit,
             Phase::Recovery,
-            Phase::Loop,
             Phase::Misspec,
             Phase::Resume,
         ];

@@ -75,6 +75,11 @@ impl ExecCtx {
 /// dynamic context. Memory contents can be inspected through `mem`.
 #[allow(unused_variables)]
 pub trait Hooks {
+    /// Whether the interpreter reports events at all. When `false` it
+    /// keeps no [`ExecCtx`], tracks no loops and calls no method of this
+    /// trait, so hook-free runs pay nothing for them.
+    const ENABLED: bool = true;
+
     /// After a load of `size` bytes at `addr`.
     fn on_load(
         &mut self,
@@ -160,54 +165,8 @@ pub trait Hooks {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NopHooks;
 
-impl Hooks for NopHooks {}
-
-/// Hooks that record interpreted loops as [`Phase::Loop`] spans on a
-/// telemetry track (one span per loop invocation, args: loop index, trip
-/// count). Built from a [`WorkerTelemetry`] handle; with a disabled
-/// handle every callback reduces to one branch, like [`NopHooks`].
-///
-/// [`Phase::Loop`]: privateer_telemetry::Phase::Loop
-/// [`WorkerTelemetry`]: privateer_telemetry::WorkerTelemetry
-#[derive(Debug)]
-pub struct TraceHooks {
-    tel: privateer_telemetry::WorkerTelemetry,
-    starts: Vec<std::time::Instant>,
-}
-
-impl TraceHooks {
-    /// Hooks recording onto `tel`'s track.
-    pub fn new(tel: privateer_telemetry::WorkerTelemetry) -> TraceHooks {
-        TraceHooks {
-            tel,
-            starts: Vec::new(),
-        }
-    }
-
-    /// Recover the telemetry handle (e.g. to absorb its ring into a
-    /// [`privateer_telemetry::Telemetry`] sink).
-    pub fn into_telemetry(self) -> privateer_telemetry::WorkerTelemetry {
-        self.tel
-    }
-}
-
-impl Hooks for TraceHooks {
-    fn on_loop_enter(&mut self, _ctx: &ExecCtx, _func: FuncId, _loop_id: LoopId) {
-        if self.tel.enabled() {
-            self.starts.push(std::time::Instant::now());
-        }
-    }
-
-    fn on_loop_exit(&mut self, _ctx: &ExecCtx, _func: FuncId, loop_id: LoopId, trips: u64) {
-        if let Some(t0) = self.starts.pop() {
-            self.tel.span_since(
-                privateer_telemetry::Phase::Loop,
-                Some(t0),
-                loop_id.index() as i64,
-                trips as i64,
-            );
-        }
-    }
+impl Hooks for NopHooks {
+    const ENABLED: bool = false;
 }
 
 #[cfg(test)]
@@ -230,21 +189,6 @@ mod tests {
         assert_eq!(ctx.current_func(), Some(FuncId::new(1)));
         assert_eq!(ctx.innermost_loop().unwrap().iter, 3);
         assert_eq!(ctx.call_path(), vec![(FuncId::new(1), InstId::new(4))]);
-    }
-
-    #[test]
-    fn trace_hooks_record_loop_spans() {
-        let tel = privateer_telemetry::Telemetry::with_capacity(8);
-        let mut h = TraceHooks::new(tel.worker(1));
-        let ctx = ExecCtx::default();
-        h.on_loop_enter(&ctx, FuncId::new(0), LoopId::new(2));
-        h.on_loop_exit(&ctx, FuncId::new(0), LoopId::new(2), 7);
-        tel.absorb(h.into_telemetry());
-        let tr = tel.trace();
-        assert_eq!(tr.events.len(), 1);
-        assert_eq!(tr.events[0].phase, privateer_telemetry::Phase::Loop);
-        assert_eq!(tr.events[0].a, 2);
-        assert_eq!(tr.events[0].b, 7);
     }
 
     #[test]

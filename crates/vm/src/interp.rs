@@ -2,22 +2,23 @@
 //!
 //! Generic over [`Hooks`] (profiling instrumentation) and [`RuntimeIface`]
 //! (speculation runtime), both statically dispatched so production runs pay
-//! nothing for the seams.
+//! nothing for the seams. It executes the pre-decoded form of
+//! [`crate::code`]: flat per-function op arrays over one shared register
+//! stack, phis as per-edge copies, instructions counted per segment.
+//!
+//! The interpreter requires a module that passes
+//! [`privateer_ir::verify::verify_module`], which guarantees that every
+//! operand is defined before use and has the type its user expects.
 
+use crate::code::{narrow, Code, FuncCode, Op, Transfer, NO_REG};
 use crate::hooks::{AllocKind, ExecCtx, Hooks, LoopFrame};
 use crate::mem::{AddressSpace, GLOBAL_BASE, PAGE_SIZE};
 use crate::runtime::RuntimeIface;
 use crate::trap::Trap;
 use crate::val::Val;
-use privateer_ir::cfg::Cfg;
-use privateer_ir::dom::DomTree;
-use privateer_ir::loops::{LoopId, LoopInfo};
-use privateer_ir::verify::value_type;
-use privateer_ir::{
-    BinOp, BlockId, CastOp, CmpOp, FuncId, Function, Heap, InstId, InstKind, Intrinsic, Module,
-    Term, Type, Value,
-};
+use privateer_ir::{BlockId, CmpOp, FuncId, Heap, InstId, Intrinsic, Module};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A module laid out in memory: globals placed (including heap-assigned
 /// globals, per the replace-allocation transformation §4.4) and
@@ -69,7 +70,9 @@ pub fn load_module(module: &Module) -> ProgramImage {
 /// Counters kept by the interpreter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InterpStats {
-    /// Instructions executed.
+    /// Instructions executed (phis and terminators do not count). An
+    /// instruction that traps counts, and so does the one a step limit
+    /// refuses.
     pub insts: u64,
     /// Loads executed.
     pub loads: u64,
@@ -77,40 +80,22 @@ pub struct InterpStats {
     pub stores: u64,
 }
 
-/// Per-function control-flow metadata the interpreter precomputes.
-#[derive(Debug)]
-struct FuncMeta {
-    /// Loop chain (outermost → innermost) containing each block.
-    block_loops: Vec<Vec<LoopId>>,
-    /// `LoopId` whose header is the block, per block.
-    header_of: Vec<Option<LoopId>>,
-}
-
-fn func_meta(func: &Function) -> FuncMeta {
-    let cfg = Cfg::new(func);
-    let dom = DomTree::new(func, &cfg);
-    let li = LoopInfo::new(func, &cfg, &dom);
-    let n = func.blocks.len();
-    let mut block_loops = vec![Vec::new(); n];
-    let mut header_of = vec![None; n];
-    for (id, lp) in li.iter() {
-        header_of[lp.header.index()] = Some(id);
-    }
-    for (bb, chain_slot) in block_loops.iter_mut().enumerate() {
-        // Chain: walk from innermost outward, then reverse.
-        let mut chain = Vec::new();
-        let mut cur = li.innermost(BlockId::new(bb));
-        while let Some(l) = cur {
-            chain.push(l);
-            cur = li.get(l).parent;
-        }
-        chain.reverse();
-        *chain_slot = chain;
-    }
-    FuncMeta {
-        block_loops,
-        header_of,
-    }
+/// A suspended caller while its callee runs.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    func: FuncId,
+    /// The op after the call.
+    pc: usize,
+    /// The caller's first register on the stack.
+    base: usize,
+    /// Where the call's result goes.
+    dst: u32,
+    /// Length of the segment after the call.
+    resume: u32,
+    /// The caller's first alloca on the alloca stack.
+    allocas: usize,
+    /// Loop-stack depth at the caller's entry (hooked runs).
+    loops: usize,
 }
 
 /// The interpreter.
@@ -136,6 +121,7 @@ fn func_meta(func: &Function) -> FuncMeta {
 /// ```
 pub struct Interp<'m, H, R> {
     module: &'m Module,
+    code: Arc<Code>,
     /// The simulated address space (owned; fork it for workers).
     pub mem: AddressSpace,
     /// Profiling hooks.
@@ -144,53 +130,60 @@ pub struct Interp<'m, H, R> {
     pub rt: R,
     /// Execution counters.
     pub stats: InterpStats,
-    global_addrs: Vec<u64>,
-    meta: Vec<FuncMeta>,
+    /// Call and loop stacks, kept only when `H::ENABLED`.
     ctx: ExecCtx,
-    loop_invocations: HashMap<(FuncId, LoopId), u64>,
-    steps: u64,
+    /// Entries per loop so far, indexed by a function's `loop_base` plus
+    /// its `LoopId` (empty unless `H::ENABLED`).
+    loop_invocations: Vec<u64>,
     step_limit: u64,
+    /// The register stack, the suspended callers and the live allocas of
+    /// the frames, kept between calls to reuse their allocations.
+    stack: Vec<u64>,
+    frames: Vec<Frame>,
+    allocas: Vec<u64>,
 }
 
 impl<'m, H: Hooks, R: RuntimeIface> Interp<'m, H, R> {
-    /// Create an interpreter over a fork of the image's memory.
+    /// Create an interpreter over a fork of the image's memory, decoding
+    /// `module` (which must pass [`privateer_ir::verify::verify_module`]).
     pub fn new(module: &'m Module, image: &ProgramImage, hooks: H, rt: R) -> Interp<'m, H, R> {
-        Interp::with_mem(
-            module,
-            image.mem.fork(),
-            image.global_addrs.clone(),
-            hooks,
-            rt,
-        )
+        let code = Arc::new(Code::new(module, &image.global_addrs));
+        Interp::with_code(module, code, image.mem.fork(), hooks, rt)
     }
 
-    /// Create an interpreter over an explicit memory (worker forks,
-    /// sequential recovery). Stack and `malloc` allocation continue from
-    /// `mem`'s allocators.
-    pub fn with_mem(
+    /// Create an interpreter over already decoded `code` of `module` and
+    /// an explicit memory (worker forks, sequential recovery). Stack and
+    /// `malloc` allocation continue from `mem`'s allocators.
+    pub fn with_code(
         module: &'m Module,
+        code: Arc<Code>,
         mem: AddressSpace,
-        global_addrs: Vec<u64>,
         hooks: H,
         rt: R,
     ) -> Interp<'m, H, R> {
-        let meta = module.functions.iter().map(func_meta).collect();
+        let loop_invocations = if H::ENABLED {
+            vec![0; code.loops]
+        } else {
+            Vec::new()
+        };
         Interp {
             module,
+            code,
             mem,
             hooks,
             rt,
             stats: InterpStats::default(),
-            global_addrs,
-            meta,
             ctx: ExecCtx::default(),
-            loop_invocations: HashMap::new(),
-            steps: 0,
+            loop_invocations,
             step_limit: u64::MAX,
+            stack: Vec::new(),
+            frames: Vec::new(),
+            allocas: Vec::new(),
         }
     }
 
-    /// Limit execution to `limit` instructions ([`Trap::StepLimit`] after).
+    /// Limit execution to `limit` instructions ([`Trap::StepLimit`] when
+    /// the next one would exceed it).
     pub fn set_step_limit(&mut self, limit: u64) {
         self.step_limit = limit;
     }
@@ -202,7 +195,7 @@ impl<'m, H: Hooks, R: RuntimeIface> Interp<'m, H, R> {
 
     /// Address of a global.
     pub fn global_addr(&self, g: privateer_ir::GlobalId) -> u64 {
-        self.global_addrs[g.index()]
+        self.code.global_addrs[g.index()]
     }
 
     /// Run `main()`.
@@ -227,410 +220,533 @@ impl<'m, H: Hooks, R: RuntimeIface> Interp<'m, H, R> {
     ///
     /// Any [`Trap`] raised during execution.
     pub fn call_function(&mut self, func: FuncId, args: &[Val]) -> Result<Option<Val>, Trap> {
-        self.ctx.call_stack.push((func, None));
-        let result = self.exec_function(func, args.to_vec());
-        self.ctx.call_stack.pop();
+        let code = Arc::clone(&self.code);
+        let mut stack = std::mem::take(&mut self.stack);
+        let mut frames = std::mem::take(&mut self.frames);
+        let mut allocas = std::mem::take(&mut self.allocas);
+        if H::ENABLED {
+            self.ctx.call_stack.push((func, None));
+        }
+        let result = self.run(&code, func, args, &mut stack, &mut frames, &mut allocas);
+        if H::ENABLED {
+            self.ctx.call_stack.pop();
+        }
+        stack.clear();
+        frames.clear();
+        allocas.clear();
+        self.stack = stack;
+        self.frames = frames;
+        self.allocas = allocas;
         result
     }
 
-    fn resolve(
-        &self,
-        func: &Function,
-        regs: &[Option<Val>],
+    /// Execute `entry` with `args` until it returns, calls included.
+    /// `stack`, `frames` and `allocas` come in empty.
+    #[allow(clippy::too_many_lines)]
+    fn run(
+        &mut self,
+        code: &Code,
+        entry: FuncId,
         args: &[Val],
-        v: Value,
-    ) -> Result<Val, Trap> {
-        match v {
-            Value::Inst(i) => regs[i.index()]
-                .ok_or_else(|| Trap::UndefValue(format!("%{} in `{}`", i.index(), func.name))),
-            Value::Param(n) => args
-                .get(n as usize)
-                .copied()
-                .ok_or_else(|| Trap::UndefValue(format!("parameter {n} of `{}`", func.name))),
-            Value::ConstInt(k, ty) => Ok(Val::Int(k).normalize(ty)),
-            Value::ConstF64(bits) => Ok(Val::Float(f64::from_bits(bits))),
-            Value::Global(g) => Ok(Val::ptr(self.global_addrs[g.index()])),
-            Value::Null => Ok(Val::Int(0)),
+        stack: &mut Vec<u64>,
+        frames: &mut Vec<Frame>,
+        allocas: &mut Vec<u64>,
+    ) -> Result<Option<Val>, Trap> {
+        let mut fid = entry;
+        let mut f: &FuncCode = &code.funcs[fid.index()];
+        stack.resize(f.nregs, 0);
+        for (slot, a) in stack.iter_mut().zip(args.iter().take(f.nparams)) {
+            *slot = match *a {
+                Val::Int(v) => v as u64,
+                Val::Float(x) => x.to_bits(),
+            };
+        }
+        stack[f.const_base..].copy_from_slice(&f.consts);
+        let mut regs: &mut [u64] = &mut stack[..];
+        let mut ops: &[Op] = &f.ops;
+        let mut base = 0usize;
+        let mut alloca_floor = 0usize;
+        let mut loop_floor = self.ctx.loop_stack.len();
+        let mut pc = 0usize;
+        let mut seg_pc;
+        let mut seg_len;
+
+        // Count a segment of `len` instructions starting at `pc`; when the
+        // step limit lands inside it, run up to the limit and stop.
+        macro_rules! enter_segment {
+            ($len:expr) => {
+                seg_pc = pc;
+                seg_len = u64::from($len);
+                self.stats.insts += seg_len;
+                if self.stats.insts > self.step_limit {
+                    let trap = self.exhaust(fid, regs, allocas, &ops[pc..], seg_len);
+                    return Err(self.unwind(fid, frames, trap));
+                }
+            };
+        }
+        // Take edge `e` of `f`: phi copies, loop events, the target's
+        // first segment.
+        macro_rules! take_edge {
+            ($e:expr) => {
+                let e = $e as usize;
+                let edge = f.edges[e];
+                for m in &f.moves[edge.moves.0 as usize..edge.moves.1 as usize] {
+                    regs[m.d as usize] = narrow(m.ty, regs[m.s as usize]);
+                }
+                if H::ENABLED {
+                    self.transfer(fid, f, &f.transfers[e]);
+                    let block = BlockId::new(edge.block as usize);
+                    self.hooks.on_block(&self.ctx, fid, block);
+                }
+                pc = edge.pc as usize;
+                enter_segment!(edge.seg);
+            };
+        }
+
+        if H::ENABLED {
+            self.enter_function(fid, f);
+        }
+        enter_segment!(f.entry_seg);
+        loop {
+            let op = &ops[pc];
+            pc += 1;
+            match *op {
+                Op::Jump(e) => {
+                    take_edge!(e);
+                }
+                Op::Branch { c, t, e, block } => {
+                    let taken = regs[c as usize] != 0;
+                    if H::ENABLED {
+                        let block = BlockId::new(block as usize);
+                        self.hooks.on_cond_branch(&self.ctx, fid, block, taken);
+                    }
+                    take_edge!(if taken { t } else { e });
+                }
+                Op::Call {
+                    callee,
+                    first,
+                    count,
+                    d,
+                    inst,
+                    resume,
+                } => {
+                    let cf = &code.funcs[callee.index()];
+                    if H::ENABLED {
+                        self.hooks.on_call(&self.ctx, fid, inst, callee);
+                        self.ctx.call_stack.push((callee, Some(inst)));
+                    }
+                    let top = base + f.nregs;
+                    stack.resize(top + cf.nregs, 0);
+                    let args = &f.args[first as usize..(first + count) as usize];
+                    for (k, &a) in args.iter().take(cf.nparams).enumerate() {
+                        stack[top + k] = stack[base + a as usize];
+                    }
+                    stack[top + cf.const_base..].copy_from_slice(&cf.consts);
+                    frames.push(Frame {
+                        func: fid,
+                        pc,
+                        base,
+                        dst: d,
+                        resume,
+                        allocas: alloca_floor,
+                        loops: loop_floor,
+                    });
+                    fid = callee;
+                    f = cf;
+                    ops = &f.ops;
+                    base = top;
+                    pc = 0;
+                    alloca_floor = allocas.len();
+                    loop_floor = self.ctx.loop_stack.len();
+                    regs = &mut stack[base..];
+                    if H::ENABLED {
+                        self.enter_function(fid, f);
+                    }
+                    enter_segment!(f.entry_seg);
+                }
+                Op::Ret(v) => {
+                    let rv = (v != NO_REG).then(|| regs[v as usize]);
+                    if H::ENABLED {
+                        // Leave the loops this function still holds (a
+                        // return from inside a loop).
+                        while self.ctx.loop_stack.len() > loop_floor {
+                            let frame = self.ctx.loop_stack.pop().expect("loop stack underflow");
+                            self.hooks
+                                .on_loop_exit(&self.ctx, fid, frame.loop_id, frame.iter + 1);
+                        }
+                    }
+                    for &a in &allocas[alloca_floor..] {
+                        if let Err(e) = self.mem.stack.free(a) {
+                            let trap = Trap::AllocError(e.to_string());
+                            return Err(self.unwind(fid, frames, trap));
+                        }
+                    }
+                    allocas.truncate(alloca_floor);
+                    let Some(caller) = frames.pop() else {
+                        return Ok(rv.map(|bits| {
+                            if f.ret_float {
+                                Val::Float(f64::from_bits(bits))
+                            } else {
+                                Val::Int(bits as i64)
+                            }
+                        }));
+                    };
+                    if H::ENABLED {
+                        self.ctx.call_stack.pop();
+                        self.hooks.on_ret(&self.ctx, fid);
+                    }
+                    stack.truncate(base);
+                    fid = caller.func;
+                    f = &code.funcs[fid.index()];
+                    ops = &f.ops;
+                    base = caller.base;
+                    pc = caller.pc;
+                    alloca_floor = caller.allocas;
+                    loop_floor = caller.loops;
+                    regs = &mut stack[base..];
+                    if caller.dst != NO_REG {
+                        regs[caller.dst as usize] = rv.unwrap_or(0);
+                    }
+                    enter_segment!(caller.resume);
+                }
+                Op::Unreachable(block) => {
+                    let trap = Trap::Internal(format!(
+                        "reached `unreachable` in `{}` {}",
+                        self.module.func(fid).name,
+                        BlockId::new(block as usize)
+                    ));
+                    return Err(self.unwind(fid, frames, trap));
+                }
+                _ => {
+                    if let Err(trap) = self.exec(fid, regs, allocas, op) {
+                        // Take back the rest of the segment.
+                        self.stats.insts -= seg_len - (pc - seg_pc) as u64;
+                        return Err(self.unwind(fid, frames, trap));
+                    }
+                }
+            }
         }
     }
 
-    /// Handle loop-nest bookkeeping for a control transfer within `func_id`
-    /// from `prev` to `next` (`prev = None` on function entry).
-    fn note_transfer(
+    /// The step limit lands inside the segment `ops[..seg_len]`, already
+    /// counted in full: run the instructions the limit allows (none of
+    /// them is a call, which only ends a segment) and refuse the next.
+    #[cold]
+    #[inline(never)]
+    fn exhaust(
         &mut self,
-        func_id: FuncId,
-        prev: Option<BlockId>,
-        next: BlockId,
-        floor: usize,
-    ) {
-        let meta = &self.meta[func_id.index()];
-        let empty: &[LoopId] = &[];
-        let prev_chain: &[LoopId] = match prev {
-            Some(p) => &meta.block_loops[p.index()],
-            None => empty,
-        };
-        let next_chain: &[LoopId] = &meta.block_loops[next.index()];
-        let mut common = 0usize;
-        while common < prev_chain.len()
-            && common < next_chain.len()
-            && prev_chain[common] == next_chain[common]
-        {
-            common += 1;
+        fid: FuncId,
+        regs: &mut [u64],
+        allocas: &mut Vec<u64>,
+        ops: &[Op],
+        seg_len: u64,
+    ) -> Trap {
+        let start = self.stats.insts - seg_len;
+        let allowed = self.step_limit - start;
+        self.stats.insts = start + allowed;
+        for (k, op) in ops[..allowed as usize].iter().enumerate() {
+            if let Err(trap) = self.exec(fid, regs, allocas, op) {
+                self.stats.insts = start + k as u64 + 1;
+                return trap;
+            }
         }
-        // Exit abandoned loops, innermost first.
-        for &l in prev_chain[common..].iter().rev() {
-            debug_assert!(self.ctx.loop_stack.len() > floor);
+        self.stats.insts += 1;
+        Trap::StepLimit
+    }
+
+    /// Pop the callers of a trapping frame, with the hook events a return
+    /// would give, and pass the trap on.
+    fn unwind(&mut self, mut fid: FuncId, frames: &mut Vec<Frame>, trap: Trap) -> Trap {
+        while let Some(caller) = frames.pop() {
+            if H::ENABLED {
+                self.ctx.call_stack.pop();
+                self.hooks.on_ret(&self.ctx, fid);
+            }
+            fid = caller.func;
+        }
+        trap
+    }
+
+    /// Loop and block events of entering function `fid` (hooked runs).
+    fn enter_function(&mut self, fid: FuncId, f: &FuncCode) {
+        self.transfer(fid, f, &f.entry_transfer);
+        let entry = BlockId::new(0);
+        self.hooks.on_block(&self.ctx, fid, entry);
+    }
+
+    /// The loop events of a control transfer within `fid` (hooked runs).
+    fn transfer(&mut self, func: FuncId, f: &FuncCode, t: &Transfer) {
+        for &l in &f.loop_ids[t.exits.clone()] {
             let frame = self.ctx.loop_stack.pop().expect("loop stack underflow");
             debug_assert_eq!(frame.loop_id, l);
-            self.hooks
-                .on_loop_exit(&self.ctx, func_id, l, frame.iter + 1);
+            self.hooks.on_loop_exit(&self.ctx, func, l, frame.iter + 1);
         }
-        // Back edge to the header of a still-active loop?
-        if common > 0
-            && meta.header_of[next.index()] == Some(next_chain[common - 1])
-            && prev.is_some()
-        {
+        if t.back {
             let top = self.ctx.loop_stack.last_mut().expect("active loop frame");
             top.iter += 1;
             let (l, iter) = (top.loop_id, top.iter);
-            self.hooks
-                .on_loop_iter(&self.ctx, func_id, l, iter, &self.mem);
+            self.hooks.on_loop_iter(&self.ctx, func, l, iter, &self.mem);
         }
-        // Enter new loops, outermost first.
-        for &l in &next_chain[common..] {
-            let inv = self
-                .loop_invocations
-                .entry((func_id, l))
-                .and_modify(|c| *c += 1)
-                .or_insert(1);
+        for &l in &f.loop_ids[t.enters.clone()] {
+            let invocation = &mut self.loop_invocations[f.loop_base + l.index()];
+            *invocation += 1;
             let frame = LoopFrame {
-                func: func_id,
+                func,
                 loop_id: l,
-                invocation: *inv,
+                invocation: *invocation,
                 iter: 0,
             };
             self.ctx.loop_stack.push(frame);
-            self.hooks.on_loop_enter(&self.ctx, func_id, l);
-            self.hooks.on_loop_iter(&self.ctx, func_id, l, 0, &self.mem);
+            self.hooks.on_loop_enter(&self.ctx, func, l);
+            self.hooks.on_loop_iter(&self.ctx, func, l, 0, &self.mem);
         }
     }
 
-    fn exec_function(&mut self, func_id: FuncId, args: Vec<Val>) -> Result<Option<Val>, Trap> {
-        let func: &'m Function = self.module.func(func_id);
-        let mut regs: Vec<Option<Val>> = vec![None; func.insts.len()];
-        let mut allocas: Vec<u64> = Vec::new();
-        let loop_floor = self.ctx.loop_stack.len();
-
-        let mut prev: Option<BlockId> = None;
-        let mut cur = func.entry();
-        let ret = 'outer: loop {
-            self.note_transfer(func_id, prev, cur, loop_floor);
-            self.hooks.on_block(&self.ctx, func_id, cur);
-            let block = func.block(cur);
-
-            // Phis evaluate as a parallel copy based on the edge taken.
-            if let Some(p) = prev {
-                let mut updates: Vec<(InstId, Val)> = Vec::new();
-                for &i in &block.insts {
-                    if let InstKind::Phi(ty, incoming) = &func.inst(i).kind {
-                        let (_, v) =
-                            incoming
-                                .iter()
-                                .find(|(pred, _)| *pred == p)
-                                .ok_or_else(|| {
-                                    Trap::Internal(format!(
-                                        "phi %{} has no incoming edge from {p}",
-                                        i.index()
-                                    ))
-                                })?;
-                        let val = self.resolve(func, &regs, &args, *v)?.normalize(*ty);
-                        updates.push((i, val));
-                    } else {
-                        break;
-                    }
-                }
-                for (i, v) in updates {
-                    regs[i.index()] = Some(v);
-                }
-            }
-
-            for &i in &block.insts {
-                let inst = func.inst(i);
-                if matches!(inst.kind, InstKind::Phi(..)) {
-                    continue;
-                }
-                self.steps += 1;
-                self.stats.insts += 1;
-                if self.steps > self.step_limit {
-                    return Err(Trap::StepLimit);
-                }
-                let out = self.exec_inst(func_id, func, &mut regs, &args, &mut allocas, i)?;
-                regs[i.index()] = out;
-            }
-
-            match &block.term {
-                Term::Ret(v) => {
-                    let rv = match v {
-                        Some(v) => Some(self.resolve(func, &regs, &args, *v)?),
-                        None => None,
-                    };
-                    break 'outer rv;
-                }
-                Term::Br(t) => {
-                    prev = Some(cur);
-                    cur = *t;
-                }
-                Term::CondBr(c, t, e) => {
-                    let taken = self.resolve(func, &regs, &args, *c)?.as_bool();
-                    self.hooks.on_cond_branch(&self.ctx, func_id, cur, taken);
-                    prev = Some(cur);
-                    cur = if taken { *t } else { *e };
-                }
-                Term::Unreachable => {
-                    return Err(Trap::Internal(format!(
-                        "reached `unreachable` in `{}` {cur}",
-                        func.name
-                    )))
-                }
-            }
-        };
-
-        // Unwind loop frames this function still holds (ret inside a loop).
-        while self.ctx.loop_stack.len() > loop_floor {
-            let frame = self.ctx.loop_stack.pop().expect("loop stack underflow");
-            self.hooks
-                .on_loop_exit(&self.ctx, func_id, frame.loop_id, frame.iter + 1);
-        }
-        for a in allocas {
-            self.mem
-                .stack
-                .free(a)
-                .map_err(|e| Trap::AllocError(e.to_string()))?;
-        }
-        Ok(ret)
-    }
-
-    fn check_addr(addr: u64) -> Result<(), Trap> {
-        if addr < PAGE_SIZE {
-            Err(Trap::NullDeref { addr })
-        } else {
-            Ok(())
-        }
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn exec_inst(
+    /// Execute one op that neither transfers control nor calls.
+    #[inline(always)]
+    fn exec(
         &mut self,
-        func_id: FuncId,
-        func: &'m Function,
-        regs: &mut [Option<Val>],
-        args: &[Val],
+        func: FuncId,
+        regs: &mut [u64],
         allocas: &mut Vec<u64>,
-        i: InstId,
-    ) -> Result<Option<Val>, Trap> {
-        let inst = func.inst(i);
-        let rv = |v: Val| -> Result<Option<Val>, Trap> { Ok(Some(v)) };
-        match &inst.kind {
-            InstKind::Phi(..) => unreachable!("phis handled at block entry"),
-            InstKind::Bin(op, a, b) => {
-                let ty = inst.ty.expect("binop type");
-                let a = self.resolve(func, regs, args, *a)?;
-                let b = self.resolve(func, regs, args, *b)?;
-                rv(eval_bin(*op, ty, a, b)?)
+        op: &Op,
+    ) -> Result<(), Trap> {
+        let int = |r: u32| regs[r as usize] as i64;
+        let float = |r: u32| f64::from_bits(regs[r as usize]);
+        match *op {
+            Op::Add(d, a, b) => regs[d as usize] = int(a).wrapping_add(int(b)) as u64,
+            Op::Sub(d, a, b) => regs[d as usize] = int(a).wrapping_sub(int(b)) as u64,
+            Op::Mul(d, a, b) => regs[d as usize] = int(a).wrapping_mul(int(b)) as u64,
+            Op::And(d, a, b) => regs[d as usize] = regs[a as usize] & regs[b as usize],
+            Op::Or(d, a, b) => regs[d as usize] = regs[a as usize] | regs[b as usize],
+            Op::Xor(d, a, b) => regs[d as usize] = regs[a as usize] ^ regs[b as usize],
+            Op::IntBin { op, ty, d, a, b } => {
+                regs[d as usize] = crate::code::int_bin(op, ty, int(a), int(b))? as u64;
             }
-            InstKind::Icmp(op, a, b) => {
-                let a = self.resolve(func, regs, args, *a)?.as_int();
-                let b = self.resolve(func, regs, args, *b)?.as_int();
-                rv(Val::Int(op.eval(a.cmp(&b)) as i64))
+            Op::FAdd(d, a, b) => regs[d as usize] = (float(a) + float(b)).to_bits(),
+            Op::FSub(d, a, b) => regs[d as usize] = (float(a) - float(b)).to_bits(),
+            Op::FMul(d, a, b) => regs[d as usize] = (float(a) * float(b)).to_bits(),
+            Op::FDiv(d, a, b) => regs[d as usize] = (float(a) / float(b)).to_bits(),
+            Op::Icmp { op, d, a, b } => {
+                regs[d as usize] = u64::from(op.eval(int(a).cmp(&int(b))));
             }
-            InstKind::Fcmp(op, a, b) => {
-                let a = self.resolve(func, regs, args, *a)?.as_f64();
-                let b = self.resolve(func, regs, args, *b)?.as_f64();
-                let r = match a.partial_cmp(&b) {
+            Op::Fcmp { op, d, a, b } => {
+                let r = match float(a).partial_cmp(&float(b)) {
                     Some(ord) => op.eval(ord),
-                    None => *op == CmpOp::Ne, // unordered
+                    None => op == CmpOp::Ne, // unordered
                 };
-                rv(Val::Int(r as i64))
+                regs[d as usize] = u64::from(r);
             }
-            InstKind::Cast(op, v, to) => {
-                let src_ty = value_type(func, *v);
-                let val = self.resolve(func, regs, args, *v)?;
-                rv(eval_cast(*op, src_ty, val, *to))
+            Op::Move(d, a) => regs[d as usize] = regs[a as usize],
+            Op::Narrow { ty, d, a } => regs[d as usize] = narrow(ty, regs[a as usize]),
+            Op::Zext { mask, ty, d, a } => regs[d as usize] = narrow(ty, regs[a as usize] & mask),
+            Op::SiToFp(d, a) => regs[d as usize] = (int(a) as f64).to_bits(),
+            Op::FpToSi { ty, d, a } => regs[d as usize] = narrow(ty, float(a) as i64 as u64),
+            Op::Load64 { d, p, inst } => {
+                let addr = self.load_addr(regs[p as usize])?;
+                regs[d as usize] = self.mem.read_u64(addr);
+                self.after_load(func, inst, addr, 8);
             }
-            InstKind::Load(ty, p) => {
-                let addr = self.resolve(func, regs, args, *p)?.as_ptr();
-                Self::check_addr(addr)?;
-                self.stats.loads += 1;
-                let val = load_typed(&self.mem, *ty, addr);
-                self.hooks
-                    .on_load(&self.ctx, func_id, i, addr, ty.size(), &self.mem);
-                rv(val)
+            Op::Load32 { d, p, inst } => {
+                let addr = self.load_addr(regs[p as usize])?;
+                regs[d as usize] = self.mem.read_u32(addr) as i32 as u64;
+                self.after_load(func, inst, addr, 4);
             }
-            InstKind::Store(ty, v, p) => {
-                let addr = self.resolve(func, regs, args, *p)?.as_ptr();
-                Self::check_addr(addr)?;
-                let val = self.resolve(func, regs, args, *v)?;
-                self.stats.stores += 1;
-                self.hooks
-                    .on_store(&self.ctx, func_id, i, addr, ty.size(), &self.mem);
-                store_typed(&mut self.mem, *ty, addr, val);
-                Ok(None)
+            Op::Load8 { d, p, inst } => {
+                let addr = self.load_addr(regs[p as usize])?;
+                regs[d as usize] = u64::from(self.mem.read_u8(addr));
+                self.after_load(func, inst, addr, 1);
             }
-            InstKind::Alloca { size, .. } => {
+            Op::Load1 { d, p, inst } => {
+                let addr = self.load_addr(regs[p as usize])?;
+                regs[d as usize] = u64::from(self.mem.read_u8(addr) & 1);
+                self.after_load(func, inst, addr, 1);
+            }
+            Op::Store64 { v, p, inst } => {
+                let addr = self.store_addr(func, inst, regs[p as usize], 8)?;
+                self.mem.write_u64(addr, regs[v as usize]);
+            }
+            Op::Store32 { v, p, inst } => {
+                let addr = self.store_addr(func, inst, regs[p as usize], 4)?;
+                self.mem.write_u32(addr, regs[v as usize] as u32);
+            }
+            Op::Store8 { v, p, inst } => {
+                let addr = self.store_addr(func, inst, regs[p as usize], 1)?;
+                self.mem.write_u8(addr, regs[v as usize] as u8);
+            }
+            Op::Alloca { d, size, inst } => {
                 let addr = self
                     .mem
                     .stack
-                    .alloc(*size)
+                    .alloc(size)
                     .map_err(|e| Trap::AllocError(e.to_string()))?;
                 // Stack slots start zeroed each activation (freed slots may
                 // be reused).
-                self.mem.fill(addr, *size, 0);
+                self.mem.fill(addr, size, 0);
                 allocas.push(addr);
-                self.hooks
-                    .on_alloc(&self.ctx, func_id, i, addr, *size, AllocKind::Alloca);
-                rv(Val::ptr(addr))
+                if H::ENABLED {
+                    self.hooks
+                        .on_alloc(&self.ctx, func, inst, addr, size, AllocKind::Alloca);
+                }
+                regs[d as usize] = addr;
             }
-            InstKind::Malloc(size) => {
-                let size = self.resolve(func, regs, args, *size)?.as_int().max(0) as u64;
+            Op::Malloc { d, size, inst } => {
+                let size = int(size).max(0) as u64;
                 let addr = self
                     .mem
                     .malloc
                     .alloc(size)
                     .map_err(|e| Trap::AllocError(e.to_string()))?;
                 // C malloc does not zero; reused blocks keep stale bytes.
-                self.hooks
-                    .on_alloc(&self.ctx, func_id, i, addr, size, AllocKind::Malloc);
-                rv(Val::ptr(addr))
-            }
-            InstKind::Free(p) => {
-                let addr = self.resolve(func, regs, args, *p)?.as_ptr();
-                if addr == 0 {
-                    return Ok(None); // free(NULL) is a no-op
+                if H::ENABLED {
+                    self.hooks
+                        .on_alloc(&self.ctx, func, inst, addr, size, AllocKind::Malloc);
                 }
-                self.hooks.on_free(&self.ctx, func_id, i, addr);
-                self.mem
-                    .malloc
-                    .free(addr)
-                    .map_err(|e| Trap::AllocError(e.to_string()))?;
-                Ok(None)
+                regs[d as usize] = addr;
             }
-            InstKind::Gep {
+            Op::Free { p, inst } => {
+                let addr = regs[p as usize];
+                // free(NULL) is a no-op.
+                if addr != 0 {
+                    if H::ENABLED {
+                        self.hooks.on_free(&self.ctx, func, inst, addr);
+                    }
+                    self.mem
+                        .malloc
+                        .free(addr)
+                        .map_err(|e| Trap::AllocError(e.to_string()))?;
+                }
+            }
+            Op::Gep {
+                d,
                 base,
                 index,
                 scale,
                 disp,
             } => {
-                let base = self.resolve(func, regs, args, *base)?.as_ptr();
-                let index = self.resolve(func, regs, args, *index)?.as_int();
-                let addr = (base as i64)
-                    .wrapping_add(index.wrapping_mul(*scale as i64))
-                    .wrapping_add(*disp) as u64;
-                rv(Val::ptr(addr))
+                let addr = int(base)
+                    .wrapping_add(int(index).wrapping_mul(scale))
+                    .wrapping_add(disp);
+                regs[d as usize] = addr as u64;
             }
-            InstKind::Call(callee, call_args) => {
-                let mut vals = Vec::with_capacity(call_args.len());
-                for &a in call_args {
-                    vals.push(self.resolve(func, regs, args, a)?);
-                }
-                self.hooks.on_call(&self.ctx, func_id, i, *callee);
-                self.ctx.call_stack.push((*callee, Some(i)));
-                let r = self.exec_function(*callee, vals);
-                self.ctx.call_stack.pop();
-                self.hooks.on_ret(&self.ctx, *callee);
-                r
+            Op::Select { ty, d, c, t, e } => {
+                let v = if regs[c as usize] != 0 { t } else { e };
+                regs[d as usize] = narrow(ty, regs[v as usize]);
             }
-            InstKind::CallIntrinsic(which, call_args) => {
-                let mut vals = Vec::with_capacity(call_args.len());
-                for &a in call_args {
-                    vals.push(self.resolve(func, regs, args, a)?);
-                }
-                self.exec_intrinsic(func_id, i, *which, &vals)
+            Op::Intrinsic {
+                which,
+                d,
+                a,
+                b,
+                inst,
+            } => self.intrinsic(func, inst, which, regs, d, a, b)?,
+            Op::Jump(_) | Op::Branch { .. } | Op::Call { .. } | Op::Ret(_) | Op::Unreachable(_) => {
+                unreachable!("control op {op:?} reached `exec`")
             }
-            InstKind::Select(ty, c, t, e) => {
-                let c = self.resolve(func, regs, args, *c)?.as_bool();
-                let v = if c {
-                    self.resolve(func, regs, args, *t)?
-                } else {
-                    self.resolve(func, regs, args, *e)?
-                };
-                rv(v.normalize(*ty))
-            }
+        }
+        Ok(())
+    }
+
+    /// Check a load address and count the load.
+    #[inline(always)]
+    fn load_addr(&mut self, addr: u64) -> Result<u64, Trap> {
+        check_addr(addr)?;
+        self.stats.loads += 1;
+        Ok(addr)
+    }
+
+    #[inline(always)]
+    fn after_load(&mut self, func: FuncId, inst: InstId, addr: u64, size: u32) {
+        if H::ENABLED {
+            self.hooks
+                .on_load(&self.ctx, func, inst, addr, size, &self.mem);
         }
     }
 
-    fn exec_intrinsic(
+    /// Check a store address, count the store and report it to the hooks
+    /// (before it happens).
+    #[inline(always)]
+    fn store_addr(
         &mut self,
-        func_id: FuncId,
-        i: InstId,
+        func: FuncId,
+        inst: InstId,
+        addr: u64,
+        size: u32,
+    ) -> Result<u64, Trap> {
+        check_addr(addr)?;
+        self.stats.stores += 1;
+        if H::ENABLED {
+            self.hooks
+                .on_store(&self.ctx, func, inst, addr, size, &self.mem);
+        }
+        Ok(addr)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn intrinsic(
+        &mut self,
+        func: FuncId,
+        site: InstId,
         which: Intrinsic,
-        vals: &[Val],
-    ) -> Result<Option<Val>, Trap> {
-        match which {
+        regs: &mut [u64],
+        d: u32,
+        a: u32,
+        b: u32,
+    ) -> Result<(), Trap> {
+        let int = |r: u32| regs[r as usize] as i64;
+        let float = |r: u32| f64::from_bits(regs[r as usize]);
+        let result = match which {
             Intrinsic::PrintI64 => {
-                let s = format!("{}\n", vals[0].as_int());
-                self.rt.output(s.as_bytes());
-                Ok(None)
+                self.rt.output(format!("{}\n", int(a)).as_bytes());
+                return Ok(());
             }
             Intrinsic::PrintF64 => {
-                let s = format!("{:.6}\n", vals[0].as_f64());
-                self.rt.output(s.as_bytes());
-                Ok(None)
+                self.rt.output(format!("{:.6}\n", float(a)).as_bytes());
+                return Ok(());
             }
             Intrinsic::PrintChar => {
-                self.rt.output(&[vals[0].as_int() as u8]);
-                Ok(None)
+                self.rt.output(&[int(a) as u8]);
+                return Ok(());
             }
             Intrinsic::PrintStr => {
-                let addr = vals[0].as_ptr();
-                let len = vals[1].as_int().max(0) as usize;
-                let mut buf = vec![0u8; len];
-                self.mem.read_bytes(addr, &mut buf);
+                let mut buf = vec![0u8; int(b).max(0) as usize];
+                self.mem.read_bytes(int(a) as u64, &mut buf);
                 self.rt.output(&buf);
-                Ok(None)
+                return Ok(());
             }
             Intrinsic::HAlloc(heap) => {
-                let size = vals[0].as_int().max(0) as u64;
+                let size = int(a).max(0) as u64;
                 let addr = self.rt.h_alloc(heap, size)?;
-                self.hooks
-                    .on_alloc(&self.ctx, func_id, i, addr, size, AllocKind::HAlloc(heap));
-                Ok(Some(Val::ptr(addr)))
+                if H::ENABLED {
+                    self.hooks
+                        .on_alloc(&self.ctx, func, site, addr, size, AllocKind::HAlloc(heap));
+                }
+                addr
             }
             Intrinsic::HFree(heap) => {
-                let addr = vals[0].as_ptr();
+                let addr = int(a) as u64;
                 if addr != 0 {
-                    self.hooks.on_free(&self.ctx, func_id, i, addr);
+                    if H::ENABLED {
+                        self.hooks.on_free(&self.ctx, func, site, addr);
+                    }
                     self.rt.h_free(heap, addr)?;
                 }
-                Ok(None)
+                return Ok(());
             }
-            Intrinsic::CheckHeap(heap) => {
-                self.rt.check_heap(heap, vals[0].as_ptr())?;
-                Ok(None)
-            }
+            Intrinsic::CheckHeap(heap) => return self.rt.check_heap(heap, int(a) as u64),
             Intrinsic::PrivateRead => {
-                let size = vals[1].as_int().max(0) as u64;
-                self.rt
-                    .private_read(vals[0].as_ptr(), size, &mut self.mem)?;
-                Ok(None)
+                let size = int(b).max(0) as u64;
+                return self.rt.private_read(int(a) as u64, size, &mut self.mem);
             }
             Intrinsic::PrivateWrite => {
-                let size = vals[1].as_int().max(0) as u64;
-                self.rt
-                    .private_write(vals[0].as_ptr(), size, &mut self.mem)?;
-                Ok(None)
+                let size = int(b).max(0) as u64;
+                return self.rt.private_write(int(a) as u64, size, &mut self.mem);
             }
-            Intrinsic::Predict => {
-                self.rt.predict(vals[0].as_bool())?;
-                Ok(None)
-            }
-            Intrinsic::Misspec => {
-                self.rt.misspec()?;
-                Ok(None)
-            }
+            Intrinsic::Predict => return self.rt.predict(int(a) != 0),
+            Intrinsic::Misspec => return self.rt.misspec(),
             Intrinsic::ReduxRegister(op) => {
-                let size = vals[1].as_int().max(0) as u64;
-                self.rt.redux_register(op, vals[0].as_ptr(), size)?;
-                Ok(None)
+                let size = int(b).max(0) as u64;
+                return self.rt.redux_register(op, int(a) as u64, size);
             }
             Intrinsic::ParallelInvoke(plan) => {
                 let plan = *self
@@ -638,135 +754,30 @@ impl<'m, H: Hooks, R: RuntimeIface> Interp<'m, H, R> {
                     .plans
                     .get(plan as usize)
                     .ok_or_else(|| Trap::Internal(format!("unknown plan {plan}")))?;
-                let (lo, hi) = (vals[0].as_int(), vals[1].as_int());
-                self.rt.parallel_invoke(
+                return self.rt.parallel_invoke(
                     self.module,
-                    &self.global_addrs,
+                    &self.code,
                     plan,
-                    lo,
-                    hi,
+                    int(a),
+                    int(b),
                     &mut self.mem,
-                )?;
-                Ok(None)
+                );
             }
-            Intrinsic::Sqrt => Ok(Some(Val::Float(vals[0].as_f64().sqrt()))),
-            Intrinsic::Exp => Ok(Some(Val::Float(vals[0].as_f64().exp()))),
-            Intrinsic::Log => Ok(Some(Val::Float(vals[0].as_f64().ln()))),
-            Intrinsic::FAbs => Ok(Some(Val::Float(vals[0].as_f64().abs()))),
-        }
-    }
-}
-
-fn width_bits(ty: Type) -> u32 {
-    match ty {
-        Type::I1 => 1,
-        Type::I8 => 8,
-        Type::I32 => 32,
-        Type::I64 | Type::Ptr | Type::F64 => 64,
-    }
-}
-
-fn eval_bin(op: BinOp, ty: Type, a: Val, b: Val) -> Result<Val, Trap> {
-    if op.is_float() {
-        let (x, y) = (a.as_f64(), b.as_f64());
-        let r = match op {
-            BinOp::FAdd => x + y,
-            BinOp::FSub => x - y,
-            BinOp::FMul => x * y,
-            BinOp::FDiv => x / y,
-            _ => unreachable!(),
+            Intrinsic::Sqrt => float(a).sqrt().to_bits(),
+            Intrinsic::Exp => float(a).exp().to_bits(),
+            Intrinsic::Log => float(a).ln().to_bits(),
+            Intrinsic::FAbs => float(a).abs().to_bits(),
         };
-        return Ok(Val::Float(r));
+        regs[d as usize] = result;
+        Ok(())
     }
-    let (x, y) = (a.as_int(), b.as_int());
-    let bits = width_bits(ty);
-    let mask = if bits == 64 {
-        u64::MAX
+}
+
+fn check_addr(addr: u64) -> Result<(), Trap> {
+    if addr < PAGE_SIZE {
+        Err(Trap::NullDeref { addr })
     } else {
-        (1u64 << bits) - 1
-    };
-    let r = match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        BinOp::SDiv => {
-            if y == 0 {
-                return Err(Trap::DivByZero);
-            }
-            x.wrapping_div(y)
-        }
-        BinOp::SRem => {
-            if y == 0 {
-                return Err(Trap::DivByZero);
-            }
-            x.wrapping_rem(y)
-        }
-        BinOp::And => x & y,
-        BinOp::Or => x | y,
-        BinOp::Xor => x ^ y,
-        BinOp::Shl => x.wrapping_shl((y as u32) % bits.max(1)),
-        BinOp::LShr => {
-            // Logical shift operates on the value truncated to its width.
-            let ux = (x as u64) & mask;
-            (ux >> ((y as u32) % bits.max(1))) as i64
-        }
-        BinOp::AShr => {
-            let shift = (y as u32) % bits.max(1);
-            x >> shift
-        }
-        _ => unreachable!(),
-    };
-    Ok(Val::Int(r).normalize(ty))
-}
-
-fn eval_cast(op: CastOp, src_ty: Option<Type>, v: Val, to: Type) -> Val {
-    match op {
-        CastOp::Zext => {
-            let bits = src_ty.map_or(64, width_bits);
-            let mask = if bits == 64 {
-                u64::MAX
-            } else {
-                (1u64 << bits) - 1
-            };
-            Val::Int(((v.as_int() as u64) & mask) as i64).normalize(to)
-        }
-        CastOp::Sext => Val::Int(v.as_int()).normalize(to),
-        CastOp::Trunc => Val::Int(v.as_int()).normalize(to),
-        CastOp::SiToFp => Val::Float(v.as_int() as f64),
-        CastOp::FpToSi => Val::Int(v.as_f64() as i64).normalize(to),
-        CastOp::PtrToInt | CastOp::IntToPtr => Val::Int(v.as_int()),
-        CastOp::Bitcast => match (v, to) {
-            (Val::Int(x), Type::F64) => Val::Float(f64::from_bits(x as u64)),
-            (Val::Float(f), _) => Val::Int(f.to_bits() as i64),
-            (x, _) => x,
-        },
-    }
-}
-
-/// Load a typed value from memory (narrow integers sign-extend into the
-/// register, matching the store/normalize convention; `i8` is treated as
-/// unsigned bytes as C string code expects).
-pub fn load_typed(mem: &AddressSpace, ty: Type, addr: u64) -> Val {
-    match ty {
-        Type::I1 => Val::Int((mem.read_u8(addr) & 1) as i64),
-        Type::I8 => Val::Int(mem.read_u8(addr) as i64),
-        Type::I32 => {
-            let mut b = [0u8; 4];
-            mem.read_bytes(addr, &mut b);
-            Val::Int(i32::from_le_bytes(b) as i64)
-        }
-        Type::I64 | Type::Ptr => Val::Int(mem.read_i64(addr)),
-        Type::F64 => Val::Float(mem.read_f64(addr)),
-    }
-}
-
-/// Store a typed value to memory.
-pub fn store_typed(mem: &mut AddressSpace, ty: Type, addr: u64, v: Val) {
-    match ty {
-        Type::I1 | Type::I8 => mem.write_u8(addr, v.as_int() as u8),
-        Type::I32 => mem.write_bytes(addr, &(v.as_int() as i32).to_le_bytes()),
-        Type::I64 | Type::Ptr => mem.write_u64(addr, v.as_int() as u64),
-        Type::F64 => mem.write_f64(addr, v.as_f64()),
+        Ok(())
     }
 }
 
@@ -776,7 +787,7 @@ mod tests {
     use crate::hooks::NopHooks;
     use crate::runtime::BasicRuntime;
     use privateer_ir::builder::FunctionBuilder;
-    use privateer_ir::GlobalInit;
+    use privateer_ir::{BinOp, GlobalInit, Type, Value};
 
     fn run(module: &Module) -> (Result<(), Trap>, Vec<u8>) {
         let image = load_module(module);

@@ -15,12 +15,14 @@
 //!
 //! * [`mem`] — the paged COW address space and a region allocator;
 //! * [`val`] — runtime values;
+//! * [`code`] — the pre-decoded form the interpreter executes;
 //! * [`interp`] — the interpreter, generic over [`hooks::Hooks`]
 //!   (profiling) and [`runtime::RuntimeIface`] (speculation runtime);
 //! * [`trap`] — misspeculation and error traps.
 //!
 //! See the crate-level example on [`interp::Interp`].
 
+pub mod code;
 pub mod hooks;
 pub mod interp;
 pub mod mem;
@@ -28,7 +30,8 @@ pub mod runtime;
 pub mod trap;
 pub mod val;
 
-pub use hooks::{AllocKind, ExecCtx, Hooks, LoopFrame, NopHooks, TraceHooks};
+pub use code::Code;
+pub use hooks::{AllocKind, ExecCtx, Hooks, LoopFrame, NopHooks};
 pub use interp::{load_module, Interp, InterpStats, ProgramImage};
 pub use mem::{AddressSpace, Page, RegionAllocator, PAGE_SIZE};
 pub use runtime::{BasicRuntime, RuntimeIface};

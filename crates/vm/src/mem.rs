@@ -10,6 +10,7 @@
 //! space.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Size of a simulated page in bytes.
@@ -27,6 +28,36 @@ pub const STACK_BASE: u64 = 0x0000_2000_0000;
 /// Base of the (untagged) general `malloc` region.
 pub const MALLOC_BASE: u64 = 0x0000_4000_0000;
 
+/// An Fx-style hasher for integer keys (page numbers, addresses, sizes):
+/// one multiply per word, rotated so the bits the table indexes by depend
+/// on every key bit. Keys here are never attacker-controlled, so the
+/// standard library's DoS-resistant SipHash buys nothing and costs a
+/// multiple of this on every page lookup.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` keyed by integers, hashed with [`FxHasher`].
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
 /// A paged, copy-on-write, byte-addressed 64-bit address space.
 ///
 /// Reads from unmapped pages return zeros; writes materialize pages on
@@ -34,7 +65,7 @@ pub const MALLOC_BASE: u64 = 0x0000_4000_0000;
 /// them is a fault surfaced by the interpreter, not here.
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
-    pages: HashMap<u64, Arc<Page>>,
+    pages: FxHashMap<u64, Arc<Page>>,
     /// Allocator of the untagged stack region (allocas). It lives with the
     /// memory it manages, so an interpreter resumed over this space (e.g.
     /// sequential recovery) continues the caller's allocations instead of
@@ -47,7 +78,7 @@ pub struct AddressSpace {
 impl Default for AddressSpace {
     fn default() -> AddressSpace {
         AddressSpace {
-            pages: HashMap::new(),
+            pages: FxHashMap::default(),
             stack: RegionAllocator::new(STACK_BASE, MALLOC_BASE),
             malloc: RegionAllocator::new(MALLOC_BASE, MALLOC_BASE + (1 << 40)),
         }
@@ -146,31 +177,77 @@ impl AddressSpace {
         }
     }
 
+    /// The bytes `addr..addr + N` when they lie in one materialized page
+    /// (`Some(None)`: one unmapped page, reading as zeros), or `None` when
+    /// they straddle a page boundary.
+    #[inline]
+    fn in_page<const N: usize>(&self, addr: u64) -> Option<Option<[u8; N]>> {
+        let off = (addr & (PAGE_SIZE - 1)) as usize;
+        if off + N > PAGE_SIZE as usize {
+            return None;
+        }
+        Some(self.pages.get(&(addr >> PAGE_SHIFT)).map(|p| {
+            let mut b = [0u8; N];
+            b.copy_from_slice(&p[off..off + N]);
+            b
+        }))
+    }
+
+    /// Read `N` bytes, on one page without a loop.
+    #[inline]
+    fn read_array<const N: usize>(&self, addr: u64) -> [u8; N] {
+        match self.in_page::<N>(addr) {
+            Some(b) => b.unwrap_or([0; N]),
+            None => {
+                let mut b = [0u8; N];
+                self.read_bytes(addr, &mut b);
+                b
+            }
+        }
+    }
+
+    /// Write `N` bytes, on one page without a loop.
+    #[inline]
+    fn write_array<const N: usize>(&mut self, addr: u64, b: [u8; N]) {
+        let off = (addr & (PAGE_SIZE - 1)) as usize;
+        if off + N > PAGE_SIZE as usize {
+            return self.write_bytes(addr, &b);
+        }
+        let page = self
+            .pages
+            .entry(addr >> PAGE_SHIFT)
+            .or_insert_with(|| Arc::new([0u8; PAGE_SIZE as usize]));
+        Arc::make_mut(page)[off..off + N].copy_from_slice(&b);
+    }
+
     /// Read one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        let page_no = addr >> PAGE_SHIFT;
-        let off = (addr & (PAGE_SIZE - 1)) as usize;
-        match self.pages.get(&page_no) {
-            Some(p) => p[off],
-            None => 0,
-        }
+        self.read_array::<1>(addr)[0]
     }
 
     /// Write one byte.
     pub fn write_u8(&mut self, addr: u64, v: u8) {
-        self.write_bytes(addr, &[v]);
+        self.write_array(addr, [v]);
+    }
+
+    /// Read a little-endian `u32`.
+    pub fn read_u32(&self, addr: u64) -> u32 {
+        u32::from_le_bytes(self.read_array(addr))
+    }
+
+    /// Write a little-endian `u32`.
+    pub fn write_u32(&mut self, addr: u64, v: u32) {
+        self.write_array(addr, v.to_le_bytes());
     }
 
     /// Read a little-endian `u64`.
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.read_array(addr))
     }
 
     /// Write a little-endian `u64`.
     pub fn write_u64(&mut self, addr: u64, v: u64) {
-        self.write_bytes(addr, &v.to_le_bytes());
+        self.write_array(addr, v.to_le_bytes());
     }
 
     /// Read a little-endian `i64`.
@@ -292,8 +369,8 @@ pub struct RegionAllocator {
     base: u64,
     end: u64,
     next: u64,
-    free: HashMap<u64, Vec<u64>>,
-    sizes: HashMap<u64, u64>,
+    free: FxHashMap<u64, Vec<u64>>,
+    sizes: FxHashMap<u64, u64>,
     /// Total bytes currently live.
     pub live_bytes: u64,
     /// Count of live allocations.
@@ -332,8 +409,8 @@ impl RegionAllocator {
             base,
             end,
             next: base.max(16), // never hand out address 0
-            free: HashMap::new(),
-            sizes: HashMap::new(),
+            free: FxHashMap::default(),
+            sizes: FxHashMap::default(),
             live_bytes: 0,
             live_count: 0,
         }

@@ -5,10 +5,12 @@
 //! lives in the `privateer-runtime` crate; this trait is the seam between
 //! the interpreter and that machinery.
 
+use crate::code::Code;
 use crate::mem::{AddressSpace, RegionAllocator};
 use crate::trap::{MisspecKind, Trap};
 use privateer_ir::{Heap, Module, PlanEntry, ReduxOp};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Services the interpreter requests from the runtime system.
 ///
@@ -110,8 +112,10 @@ pub trait RuntimeIface {
     }
 
     /// `parallel_invoke(lo, hi)`: run the outlined loop body over
-    /// iterations `lo..hi` (§5). The speculative DOALL engine implements
-    /// this; runtimes without an engine trap.
+    /// iterations `lo..hi` (§5). `code` is the calling interpreter's
+    /// decoded `module`, for the interpreters the runtime starts. The
+    /// speculative DOALL engine implements this; runtimes without an
+    /// engine trap.
     ///
     /// # Errors
     ///
@@ -119,13 +123,13 @@ pub trait RuntimeIface {
     fn parallel_invoke(
         &mut self,
         module: &Module,
-        global_addrs: &[u64],
+        code: &Arc<Code>,
         plan: PlanEntry,
         lo: i64,
         hi: i64,
         mem: &mut AddressSpace,
     ) -> Result<(), Trap> {
-        let _ = (module, global_addrs, plan, lo, hi, mem);
+        let _ = (module, code, plan, lo, hi, mem);
         Err(Trap::Internal(
             "this runtime does not support parallel invocation".into(),
         ))

@@ -58,8 +58,6 @@ pub enum Trap {
         /// The faulting address.
         addr: u64,
     },
-    /// Use of an instruction result that was never computed.
-    UndefValue(String),
     /// Integer division by zero.
     DivByZero,
     /// The configured step budget was exhausted.
@@ -93,7 +91,6 @@ impl fmt::Display for Trap {
         match self {
             Trap::Misspec(m) => write!(f, "misspeculation ({}): {}", m.kind, m.detail),
             Trap::NullDeref { addr } => write!(f, "null-page dereference at {addr:#x}"),
-            Trap::UndefValue(what) => write!(f, "use of undefined value: {what}"),
             Trap::DivByZero => write!(f, "integer division by zero"),
             Trap::StepLimit => write!(f, "step limit exhausted"),
             Trap::OutOfMemory(h) => write!(f, "logical heap `{h}` out of memory"),

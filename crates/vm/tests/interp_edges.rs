@@ -239,3 +239,75 @@ fn loop_events_balance_across_early_returns() {
     // n=0 -> 1.
     assert_eq!(h.iters, 2 + 3 + 1);
 }
+
+/// `main` calls `leaf`; each function's entry block stores to a global
+/// around its call or fault, so the counters show how far it got.
+/// `leaf` stores twice, then loads through null, then would store again.
+fn faulting_call_module() -> Module {
+    let mut m = Module::new("t");
+    let g = m.add_global_init("g", 16, GlobalInit::Zero);
+    let leaf_id = privateer_ir::FuncId::new(0);
+    let mut f = FunctionBuilder::new("leaf", vec![], None);
+    f.store(Type::I64, Value::const_i64(1), Value::Global(g));
+    f.store(Type::I64, Value::const_i64(2), Value::Global(g));
+    let v = f.load(Type::I64, Value::Null);
+    f.store(Type::I64, v, Value::Global(g));
+    f.ret(None);
+    m.add_function(f.finish());
+    let mut b = FunctionBuilder::new("main", vec![], None);
+    let x = b.add(Type::I64, Value::const_i64(3), Value::const_i64(4));
+    b.store(Type::I64, x, Value::Global(g));
+    b.call(leaf_id, vec![], None);
+    b.store(Type::I64, x, Value::Global(g));
+    b.print_i64(x);
+    b.ret(None);
+    m.add_function(b.finish());
+    m
+}
+
+#[test]
+fn mid_block_trap_counts_up_to_the_trapping_instruction() {
+    let m = faulting_call_module();
+    let image = load_module(&m);
+    let mut interp = Interp::new(&m, &image, NopHooks, BasicRuntime::strict());
+    let r = interp.run_main();
+    assert!(
+        matches!(r, Err(privateer_vm::Trap::NullDeref { .. })),
+        "{r:?}"
+    );
+    // main: add, store, call (3); leaf: store, store, the faulting load
+    // (3). The instructions after the fault in both blocks do not count.
+    assert_eq!(interp.stats.insts, 6);
+    assert_eq!(interp.stats.stores, 3);
+    assert_eq!(interp.stats.loads, 0, "the faulting load never read");
+    assert!(interp.rt.output_bytes().is_empty());
+}
+
+#[test]
+fn step_limit_mid_block_traps_after_exactly_n_instructions() {
+    let m = faulting_call_module();
+    let image = load_module(&m);
+    // Limits landing inside main's block, on the call, and inside leaf's.
+    for (limit, stores) in [(0, 0), (1, 0), (2, 1), (3, 1), (4, 2), (5, 3)] {
+        let mut interp = Interp::new(&m, &image, NopHooks, BasicRuntime::strict());
+        interp.set_step_limit(limit);
+        assert_eq!(
+            interp.run_main(),
+            Err(privateer_vm::Trap::StepLimit),
+            "limit {limit}"
+        );
+        // The refused instruction is counted, as it always was: the
+        // limit trips on the count reaching `limit + 1`.
+        assert_eq!(interp.stats.insts, limit + 1, "limit {limit}");
+        assert_eq!(interp.stats.stores, stores, "limit {limit}");
+        assert_eq!(interp.stats.loads, 0, "limit {limit}");
+    }
+    // At six, leaf's faulting load runs (and traps) before the limit.
+    let mut interp = Interp::new(&m, &image, NopHooks, BasicRuntime::strict());
+    interp.set_step_limit(6);
+    assert!(matches!(
+        interp.run_main(),
+        Err(privateer_vm::Trap::NullDeref { .. })
+    ));
+    assert_eq!(interp.stats.insts, 6);
+}
