@@ -158,11 +158,12 @@ fn main() -> ExitCode {
     );
     let summary = run_seeded(opts.seed, opts.cases, &oc);
     outln!(
-        "privfuzz: {} case(s) run, {} with misspeculation, {} with genuine traps, {} with a fired phase-2 fault",
+        "privfuzz: {} case(s) run, {} with misspeculation, {} with genuine traps, {} with a fired phase-2 fault, {} with coalesced checks",
         summary.cases,
         summary.cases_with_misspec,
         summary.cases_trapped,
-        summary.cases_with_fault
+        summary.cases_with_fault,
+        summary.cases_coalesced
     );
     match summary.failure {
         None if summary.cases_with_fault == 0 => {

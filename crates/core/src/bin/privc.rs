@@ -130,7 +130,8 @@ fn main() -> ExitCode {
     for r in &result.reports {
         eprintln!(
             "[privc] parallelized loop in `{}`: {} read-only, {} private, {} redux, \
-             {} short-lived objects; checks: {} sep (+{} elided), {} priv-read, {} priv-write{}{}{}",
+             {} short-lived objects; checks: {} sep (+{} elided), {} priv-read, {} priv-write \
+             ({} coalesced){}{}{}",
             r.function,
             r.heap_counts[0],
             r.heap_counts[1],
@@ -140,8 +141,17 @@ fn main() -> ExitCode {
             r.checks.elided,
             r.checks.privacy_reads,
             r.checks.privacy_writes,
-            if r.value_predicted { "; value prediction" } else { "" },
-            if r.control_spec_blocks > 0 { "; control speculation" } else { "" },
+            r.checks.coalesced,
+            if r.value_predicted {
+                "; value prediction"
+            } else {
+                ""
+            },
+            if r.control_spec_blocks > 0 {
+                "; control speculation"
+            } else {
+                ""
+            },
             if r.does_io { "; deferred I/O" } else { "" },
         );
     }

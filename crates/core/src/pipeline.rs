@@ -6,8 +6,9 @@ use crate::footprint::Region;
 use crate::outline::{check_outlineable, outline_loop};
 use crate::select::{select, Candidate};
 use crate::transform::{
-    access_heaps, apply_control_speculation, insert_checks, insert_value_predictions,
-    replace_allocation, CheckStats, PlacementMap, TransformError, ValuePrediction,
+    access_heaps, apply_control_speculation, coalesce_privacy_checks, insert_checks,
+    insert_value_predictions, replace_allocation, CheckStats, PlacementMap, TransformError,
+    ValuePrediction,
 };
 use privateer_ir::counted::match_counted_loop;
 use privateer_ir::loops::LoopInfo;
@@ -31,6 +32,10 @@ pub struct PipelineConfig {
     pub enable_value_prediction: bool,
     /// Replace never-executed blocks of selected bodies with `misspec()`.
     pub enable_control_speculation: bool,
+    /// Replace the per-trip privacy checks of affine loop streams with one
+    /// range check each (see [`coalesce_privacy_checks`]); off gives the
+    /// paper's per-access checks.
+    pub enable_check_coalescing: bool,
     /// Give up on value prediction when the dependent footprint exceeds
     /// this many bytes.
     pub max_predicted_bytes: usize,
@@ -43,6 +48,7 @@ impl Default for PipelineConfig {
             max_candidates: 16,
             enable_value_prediction: true,
             enable_control_speculation: true,
+            enable_check_coalescing: true,
             max_predicted_bytes: 64,
         }
     }
@@ -393,8 +399,13 @@ pub fn privatize(input: &Module, cfg: &PipelineConfig) -> Result<Privatized, Pip
                 to_instrument.push(callee);
             }
         }
-        let checks = insert_checks(&mut module, &expected, &placement, to_instrument)
-            .map_err(PipelineError::Transform)?;
+        let mut checks = insert_checks(
+            &mut module,
+            &expected,
+            &placement,
+            to_instrument.iter().copied(),
+        )
+        .map_err(PipelineError::Transform)?;
 
         insert_value_predictions(&mut module, outlined.body, &cand.predictions)
             .map_err(PipelineError::Transform)?;
@@ -408,6 +419,9 @@ pub fn privatize(input: &Module, cfg: &PipelineConfig) -> Result<Privatized, Pip
                 .map(|(_, &new)| new)
                 .collect();
             control_spec_blocks = apply_control_speculation(&mut module, outlined.body, &cold);
+        }
+        if cfg.enable_check_coalescing {
+            checks.coalesced = coalesce_privacy_checks(&mut module, to_instrument);
         }
 
         reports.push(LoopReport {

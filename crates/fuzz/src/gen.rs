@@ -114,6 +114,28 @@ pub enum Stmt {
         /// Iteration handing the wrong-heap pointer to the check.
         at: i64,
     },
+    /// `for j in 0..len { cells[start + j + shift] = mul·cells[start + j]
+    /// plus i }` — a counted inner loop doing a read-modify-write on a run
+    /// of private cells, one affine access stream whose checks
+    /// [`coalesce_privacy_checks`](privateer::transform::coalesce_privacy_checks)
+    /// can turn into range checks. With `init` a first inner loop writes
+    /// every cell of the run, so the reads see this iteration's values;
+    /// without it they read live-in values and the write after them
+    /// misspeculates. `shift = 1` writes one cell over, aliasing the next
+    /// trip's read, which must stop the rewrite. The run is clamped to
+    /// the buffer.
+    RunRmw {
+        /// First cell of the run.
+        start: u64,
+        /// Cells in the run.
+        len: u64,
+        /// Write each cell of the run first.
+        init: bool,
+        /// Distance from the read cell to the written cell (0 or 1).
+        shift: u64,
+        /// Multiplier applied to the value read.
+        mul: i64,
+    },
     /// `print(1 / (i - at))` — a genuine division-by-zero at iteration
     /// `at`, present in body *and* recovery: sequential and speculative
     /// runs must report the identical trap with identical partial output.
@@ -226,6 +248,19 @@ impl CaseSpec {
                 },
             };
             stmts.push(stmt);
+        }
+        // Drawn after the statement rolls, so the other statements of a
+        // seed's cases do not depend on whether this one is drawn.
+        if r.chance(1, 3) {
+            let stmt = Stmt::RunRmw {
+                start: r.below(cells),
+                len: 1 + r.below(cells),
+                init: r.chance(1, 2),
+                shift: r.below(2),
+                mul: r.range(-3, 4),
+            };
+            let at = r.below(stmts.len() as u64 + 1) as usize;
+            stmts.insert(at, stmt);
         }
 
         CaseSpec {
@@ -427,6 +462,41 @@ impl CaseSpec {
                     b.intrinsic(Intrinsic::CheckHeap(Heap::ShortLived), vec![p]);
                 }
             }
+            Stmt::RunRmw {
+                start,
+                len,
+                init,
+                shift,
+                mul,
+            } => {
+                let start = start % self.cells;
+                let len = len.min(self.cells.saturating_sub(start + shift)) as i64;
+                let run = b.gep_const(Value::Global(buf), (start * self.pitch) as i64);
+                let pitch = self.pitch;
+                if init {
+                    counted_loop(b, len, |b, j| {
+                        let slot = b.gep(run, j, pitch, 0);
+                        if checks {
+                            b.intrinsic(Intrinsic::PrivateWrite, vec![slot, Value::const_i64(8)]);
+                        }
+                        b.store(Type::I64, iter, slot);
+                    });
+                }
+                counted_loop(b, len, |b, j| {
+                    let src = b.gep(run, j, pitch, 0);
+                    if checks {
+                        b.intrinsic(Intrinsic::PrivateRead, vec![src, Value::const_i64(8)]);
+                    }
+                    let x = b.load(Type::I64, src);
+                    let v = b.mul(Type::I64, x, Value::const_i64(mul));
+                    let v = b.add(Type::I64, v, iter);
+                    let dst = b.gep(run, j, pitch, (shift * pitch) as i64);
+                    if checks {
+                        b.intrinsic(Intrinsic::PrivateWrite, vec![dst, Value::const_i64(8)]);
+                    }
+                    b.store(Type::I64, v, dst);
+                });
+            }
             Stmt::GenuineFault { at } => {
                 let d = b.sub(Type::I64, iter, Value::const_i64(at));
                 let q = b.bin(BinOp::SDiv, Type::I64, Value::const_i64(1), d);
@@ -473,6 +543,16 @@ impl CaseSpec {
                 }
                 Stmt::PredictFail { at } => format!("stmt predictfail at={at}"),
                 Stmt::WrongHeapCheck { at } => format!("stmt wrongheap at={at}"),
+                Stmt::RunRmw {
+                    start,
+                    len,
+                    init,
+                    shift,
+                    mul,
+                } => format!(
+                    "stmt rmw start={start} len={len} init={} shift={shift} mul={mul}",
+                    u8::from(init)
+                ),
                 Stmt::GenuineFault { at } => format!("stmt fault at={at}"),
             };
             s.push_str(&line);
@@ -556,6 +636,13 @@ impl CaseSpec {
                         },
                         "predictfail" => Stmt::PredictFail { at: kv("at")? },
                         "wrongheap" => Stmt::WrongHeapCheck { at: kv("at")? },
+                        "rmw" => Stmt::RunRmw {
+                            start: kv("start")? as u64,
+                            len: kv("len")? as u64,
+                            init: kv("init")? != 0,
+                            shift: kv("shift")?.clamp(0, 1) as u64,
+                            mul: kv("mul")?,
+                        },
                         "fault" => Stmt::GenuineFault { at: kv("at")? },
                         other => return Err(format!("unknown stmt kind {other:?}")),
                     };
@@ -569,6 +656,28 @@ impl CaseSpec {
         }
         Ok(spec)
     }
+}
+
+/// Emit `for j in 0..n { body(j) }` at the builder's current block,
+/// leaving the builder at the loop's exit.
+fn counted_loop(b: &mut FunctionBuilder, n: i64, body: impl FnOnce(&mut FunctionBuilder, Value)) {
+    let pre = b.current_block();
+    let header = b.new_block();
+    let body_bb = b.new_block();
+    let exit = b.new_block();
+    b.br(header);
+    b.switch_to(header);
+    let (j, phi) = b.phi(Type::I64);
+    b.add_phi_incoming(phi, pre, Value::const_i64(0));
+    let c = b.icmp(CmpOp::Lt, j, Value::const_i64(n));
+    b.cond_br(c, body_bb, exit);
+    b.switch_to(body_bb);
+    body(b, j);
+    let next = b.add(Type::I64, j, Value::const_i64(1));
+    let latch = b.current_block();
+    b.add_phi_incoming(phi, latch, next);
+    b.br(header);
+    b.switch_to(exit);
 }
 
 fn parse_scalar(line: &str, fields: &[&str]) -> Result<i64, String> {

@@ -17,6 +17,11 @@
 //!    contribution-arrival interleavings free-running spans rarely
 //!    produce are explored deterministically.
 //!
+//! When [`coalesce_privacy_checks`] changes the case's body, every engine
+//! run above runs on both the per-access and the coalesced body, and a
+//! one-worker run of each must misspeculate at the same iterations and,
+//! without misspeculation, validate the same private bytes.
+//!
 //! Every speculative run must match the baseline's `Result` (genuine
 //! traps included) and output bytes, and must satisfy the engine's
 //! internal conservation laws (`check_run`): telemetry counters agree
@@ -32,6 +37,7 @@
 use crate::gen::CaseSpec;
 use crate::merge;
 use crate::rng::Rng;
+use privateer::transform::coalesce_privacy_checks;
 use privateer_ir::Module;
 use privateer_runtime::{
     EngineConfig, EngineEvent, MainRuntime, SequentialPlanRuntime, VirtualScheduler,
@@ -87,6 +93,9 @@ pub struct CaseReport {
     /// Whether the phase-2 fault run's injected fault fired; it does
     /// not when an earlier misspeculation squashes the chosen period.
     pub fault_fired: bool,
+    /// Whether check coalescing changed the body, so every engine run
+    /// ran on both bodies.
+    pub coalesced: bool,
 }
 
 /// Outcome of a [`run_seeded`] campaign.
@@ -100,6 +109,8 @@ pub struct RunSummary {
     pub cases_trapped: u64,
     /// Cases whose phase-2 fault run fired its injected fault.
     pub cases_with_fault: u64,
+    /// Cases whose body check coalescing changed.
+    pub cases_coalesced: u64,
     /// The first failure, already shrunk, if any case diverged.
     pub failure: Option<FailureReport>,
 }
@@ -343,6 +354,17 @@ pub fn check_case(spec: &CaseSpec, oc: &OracleConfig) -> Result<CaseReport, Case
         ..CaseReport::default()
     };
 
+    // The body with its affine streams' checks coalesced, when the pass
+    // changes it: every engine run below then runs on both bodies.
+    let mut coalesced = m.clone();
+    let body = coalesced.plans[0].body;
+    let mut bodies = vec![("per-access", &m)];
+    if coalesce_privacy_checks(&mut coalesced, [body]) > 0 {
+        bodies.push(("coalesced", &coalesced));
+        report.coalesced = true;
+        same_validation(&m, &coalesced, oc.checkpoint_period)?;
+    }
+
     let base_cfg = |workers: usize| EngineConfig {
         workers,
         checkpoint_period: oc.checkpoint_period,
@@ -351,25 +373,27 @@ pub fn check_case(spec: &CaseSpec, oc: &OracleConfig) -> Result<CaseReport, Case
     };
 
     let mut first = true;
-    for &w in &oc.workers {
-        for reference in [false, true] {
-            let run = engine_run(&m, base_cfg(w), |rt| {
-                if reference {
-                    rt.set_merge(merge::reference);
+    for &(checks, module) in &bodies {
+        for &w in &oc.workers {
+            for reference in [false, true] {
+                let run = engine_run(module, base_cfg(w), |rt| {
+                    if reference {
+                        rt.set_merge(merge::reference);
+                    }
+                });
+                if first {
+                    report.misspecs = run.rt.stats.misspecs;
+                    first = false;
                 }
-            });
-            if first {
-                report.misspecs = run.rt.stats.misspecs;
-                first = false;
+                let merge = if reference { "reference" } else { "fast" };
+                compare(
+                    &format!("workers={w} merge={merge} checks={checks}"),
+                    &run,
+                    &seq_result,
+                    &seq_out,
+                    n,
+                )?;
             }
-            let merge = if reference { "reference" } else { "fast" };
-            compare(
-                &format!("workers={w} merge={merge}"),
-                &run,
-                &seq_result,
-                &seq_out,
-                n,
-            )?;
         }
     }
 
@@ -377,34 +401,78 @@ pub fn check_case(spec: &CaseSpec, oc: &OracleConfig) -> Result<CaseReport, Case
 
     let periods = (n as u64 + oc.checkpoint_period - 1) / oc.checkpoint_period.max(1);
     let at = fault_period(spec, periods);
-    let trap = Trap::misspec(MisspecKind::Privacy, "injected phase-2 privacy violation");
-    let (fault, fired) = merge::fail_at(at, trap);
-    let run = engine_run(&m, base_cfg(w0), |rt| rt.set_merge(fault));
-    report.fault_fired = fired.load(Ordering::Relaxed);
-    compare(
-        &format!("workers={w0} merge=fault@{at}"),
-        &run,
-        &seq_result,
-        &seq_out,
-        n,
-    )?;
+    for &(checks, module) in &bodies {
+        let trap = Trap::misspec(MisspecKind::Privacy, "injected phase-2 privacy violation");
+        let (fault, fired) = merge::fail_at(at, trap);
+        let run = engine_run(module, base_cfg(w0), |rt| rt.set_merge(fault));
+        report.fault_fired |= fired.load(Ordering::Relaxed);
+        compare(
+            &format!("workers={w0} merge=fault@{at} checks={checks}"),
+            &run,
+            &seq_result,
+            &seq_out,
+            n,
+        )?;
 
-    for s in 0..oc.schedule_seeds {
-        let sched = VirtualScheduler::random_arrivals(w0, periods, s);
-        let run = engine_run(&m, base_cfg(w0), |rt| rt.set_schedule(Arc::clone(&sched)));
-        let mode = format!("schedule-seed={s}");
-        if sched.timeouts() != 0 {
-            return Err(CaseFailure {
-                mode,
-                detail: format!(
-                    "virtual scheduler forced {} gate(s) by timeout — inconsistent script",
-                    sched.timeouts()
-                ),
+        for s in 0..oc.schedule_seeds {
+            let sched = VirtualScheduler::random_arrivals(w0, periods, s);
+            let run = engine_run(module, base_cfg(w0), |rt| {
+                rt.set_schedule(Arc::clone(&sched))
             });
+            let mode = format!("schedule-seed={s} checks={checks}");
+            if sched.timeouts() != 0 {
+                return Err(CaseFailure {
+                    mode,
+                    detail: format!(
+                        "virtual scheduler forced {} gate(s) by timeout — inconsistent script",
+                        sched.timeouts()
+                    ),
+                });
+            }
+            compare(&mode, &run, &seq_result, &seq_out, n)?;
         }
-        compare(&mode, &run, &seq_result, &seq_out, n)?;
     }
     Ok(report)
+}
+
+/// Coalescing changes how many calls validate the private bytes, never
+/// which: on one worker, where a run is deterministic, both bodies must
+/// misspeculate at the same iterations, and without misspeculation they
+/// must validate the same bytes.
+fn same_validation(
+    per_access: &Module,
+    coalesced: &Module,
+    period: u64,
+) -> Result<(), CaseFailure> {
+    let cfg = EngineConfig {
+        workers: 1,
+        checkpoint_period: period,
+        inject_rate: 0.0,
+        inject_seed: 0,
+    };
+    let a = engine_run(per_access, cfg, |_| {}).rt.stats;
+    let b = engine_run(coalesced, cfg, |_| {}).rt.stats;
+    let mut same = (a.misspecs, a.recovered_iters) == (b.misspecs, b.recovered_iters);
+    if a.misspecs == 0 {
+        same &= (a.priv_read_bytes, a.priv_write_bytes) == (b.priv_read_bytes, b.priv_write_bytes);
+    }
+    if same {
+        return Ok(());
+    }
+    Err(CaseFailure {
+        mode: "workers=1 checks=per-access vs coalesced".to_string(),
+        detail: format!(
+            "misspecs {} vs {}, recovered {} vs {}, bytes read {} vs {}, written {} vs {}",
+            a.misspecs,
+            b.misspecs,
+            a.recovered_iters,
+            b.recovered_iters,
+            a.priv_read_bytes,
+            b.priv_read_bytes,
+            a.priv_write_bytes,
+            b.priv_write_bytes
+        ),
+    })
 }
 
 /// The period whose merge the phase-2 fault run fails, drawn from the
@@ -473,6 +541,7 @@ pub fn run_seeded(seed: u64, cases: u64, oc: &OracleConfig) -> RunSummary {
         cases_with_misspec: 0,
         cases_trapped: 0,
         cases_with_fault: 0,
+        cases_coalesced: 0,
         failure: None,
     };
     for index in 0..cases {
@@ -488,6 +557,9 @@ pub fn run_seeded(seed: u64, cases: u64, oc: &OracleConfig) -> RunSummary {
                 }
                 if report.fault_fired {
                     summary.cases_with_fault += 1;
+                }
+                if report.coalesced {
+                    summary.cases_coalesced += 1;
                 }
             }
             Err(_) => {

@@ -91,3 +91,30 @@ fn deliberate_misspeculation_patterns_pass() {
         assert!(report.misspecs > 0, "{stmt} should misspeculate");
     }
 }
+
+#[test]
+fn cell_runs_are_coalesced_unless_the_write_aliases_the_next_read() {
+    // (statement, body changed by coalescing, must misspeculate)
+    for (stmt, coalesced, misspec) in [
+        ("stmt rmw start=1 len=5 init=1 shift=0 mul=2", true, false),
+        // Reading live-in cells and writing them back is the accumulator
+        // pattern: the range checks must still trap.
+        ("stmt rmw start=0 len=8 init=0 shift=0 mul=1", true, true),
+        // Writing one cell over aliases the next trip's read.
+        ("stmt rmw start=0 len=8 init=0 shift=1 mul=3", false, false),
+    ] {
+        let spec = CaseSpec::from_text(&format!(
+            "privfuzz-case v1\n\
+             name rmw-repro\n\
+             iters 18\n\
+             cells 8\n\
+             stmt print mul=1 add=0\n\
+             {stmt}\n"
+        ))
+        .unwrap();
+        let report = privateer_fuzz::oracle::check_case(&spec, &OracleConfig::default())
+            .unwrap_or_else(|f| panic!("{stmt}: {f}"));
+        assert_eq!(report.coalesced, coalesced, "{stmt}");
+        assert_eq!(report.misspecs > 0, misspec, "{stmt}");
+    }
+}

@@ -313,51 +313,34 @@ impl CheckpointMerge {
     /// Traps with a privacy misspeculation on a cross-worker
     /// read-of-earlier-write or the conservative read/write conflict.
     pub fn add(&mut self, contrib: Contribution, committed: &AddressSpace) -> Result<(), Trap> {
-        let priv_lookup: HashMap<u64, &Arc<Page>> = contrib
-            .priv_pages
-            .iter()
-            .map(|(base, p)| (*base, p))
-            .collect();
         for (sbase, spage) in &contrib.shadow_pages {
             let pbase = *sbase & !SHADOW_BIT;
             // Word-granular skip: untouched runs carry only
             // live-in/old-write metadata, so whole 8-byte words are
             // dismissed with a single compare (shadow::word); only words
-            // containing read-live-in or timestamp bytes walk per-byte.
-            let mut words = spage.chunks_exact(8).enumerate();
+            // containing read-live-in or timestamp bytes are merged.
+            let mut words = spage
+                .chunks_exact(8)
+                .map(|group| u64::from_le_bytes(group.try_into().unwrap()))
+                .enumerate()
+                .filter(|&(_, w)| !shadow::word::all_le_old_write(w))
+                .peekable();
             // The dense page state materializes lazily, on the first word
             // that actually carries touched bytes; pages whose shadow is
             // entirely live-in/old-write never allocate merge state.
-            let Some((first_wi, first_group)) = words.by_ref().find(|(_, group)| {
-                let w = u64::from_le_bytes((*group).try_into().unwrap());
-                !shadow::word::all_le_old_write(w)
-            }) else {
+            if words.peek().is_none() {
                 continue;
-            };
+            }
             let state = self.pages.entry(pbase).or_insert_with(PageState::new_boxed);
-            merge_word(
-                state,
-                &mut self.written,
-                first_wi,
-                first_group,
-                pbase,
-                &priv_lookup,
-                committed,
-            )?;
-            for (wi, group) in words {
-                let w = u64::from_le_bytes(group.try_into().unwrap());
-                if shadow::word::all_le_old_write(w) {
-                    continue;
-                }
-                merge_word(
-                    state,
-                    &mut self.written,
-                    wi,
-                    group,
-                    pbase,
-                    &priv_lookup,
-                    committed,
-                )?;
+            // The paired private page (both lists ascend by base), looked
+            // up once per shadow page.
+            let ppage = contrib
+                .priv_pages
+                .binary_search_by_key(&pbase, |&(base, _)| base)
+                .ok()
+                .map(|i| &*contrib.priv_pages[i].1);
+            for (wi, w) in words {
+                merge_word(state, &mut self.written, wi, w, pbase, ppage, committed)?;
             }
         }
         for (i, img) in contrib.redux_images.into_iter().enumerate() {
@@ -405,18 +388,32 @@ impl CheckpointMerge {
     }
 }
 
-/// Merge one 8-byte shadow word known to contain at least one touched
-/// byte (the per-byte path of [`CheckpointMerge::add`]).
+/// Merge one 8-byte shadow word `w` known to contain at least one
+/// touched byte. `ppage` is the contribution's private page for `pbase`,
+/// if it shipped one (an absent page reads as zeros).
 fn merge_word(
     state: &mut PageState,
     written: &mut usize,
     wi: usize,
-    group: &[u8],
+    w: u64,
     pbase: u64,
-    priv_lookup: &HashMap<u64, &Arc<Page>>,
+    ppage: Option<&Page>,
     committed: &AddressSpace,
 ) -> Result<(), Trap> {
-    for (bi, &meta) in group.iter().enumerate() {
+    let word = wi * 8..wi * 8 + 8;
+    // Word path: eight timestamped writes onto bytes no earlier
+    // contribution touched this period. Per byte this is the write arm
+    // below with no conflict and no earlier write, so it only copies.
+    if shadow::word::all_timestamps(w) && state.meta[word.clone()] == [0u8; 8] {
+        state.meta[word.clone()].copy_from_slice(&w.to_le_bytes());
+        match ppage {
+            Some(p) => state.val[word.clone()].copy_from_slice(&p[word]),
+            None => state.val[word].fill(0),
+        }
+        *written += 8;
+        return Ok(());
+    }
+    for (bi, meta) in w.to_le_bytes().into_iter().enumerate() {
         if meta <= shadow::OLD_WRITE {
             continue;
         }
@@ -454,10 +451,7 @@ fn merge_word(
                 *written += 1;
             }
             state.meta[off] = meta;
-            state.val[off] = priv_lookup
-                .get(&(baddr & !(PAGE_SIZE - 1)))
-                .map(|p| p[(baddr & (PAGE_SIZE - 1)) as usize])
-                .unwrap_or(0);
+            state.val[off] = ppage.map_or(0, |p| p[off]);
         }
     }
     Ok(())

@@ -25,7 +25,7 @@ use privateer_telemetry::{
     clock, Counter, Histogram, MetricsRegistry, Phase, SpanEvent, Stamped, Telemetry, TraceData,
     WorkerTelemetry, ENGINE_TRACK,
 };
-use privateer_vm::interp::{Interp, ProgramImage};
+use privateer_vm::interp::{Interp, InterpStats, ProgramImage};
 use privateer_vm::{AddressSpace, Code, MisspecKind, NopHooks, RuntimeIface, Trap, Val};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -170,6 +170,8 @@ struct EngineMetrics {
     invocations: Counter,
     checkpoints: Counter,
     misspecs: Counter,
+    priv_read_calls: Counter,
+    priv_write_calls: Counter,
     priv_fast_words: Counter,
     priv_slow_bytes: Counter,
     contrib_pages: Counter,
@@ -184,6 +186,8 @@ impl EngineMetrics {
             invocations: reg.counter("engine.invocations"),
             checkpoints: reg.counter("engine.checkpoints"),
             misspecs: reg.counter("engine.misspecs"),
+            priv_read_calls: reg.counter("priv.read_calls"),
+            priv_write_calls: reg.counter("priv.write_calls"),
             priv_fast_words: reg.counter("priv.fast_words"),
             priv_slow_bytes: reg.counter("priv.slow_bytes"),
             contrib_pages: reg.counter("checkpoint.contrib_pages"),
@@ -665,6 +669,8 @@ impl MainRuntime {
         self.stats.iters_speculative += stats.iters;
         // The registry counters are the source of truth for these totals;
         // the stats fields are snapshot views refreshed at each drain.
+        self.metrics.priv_read_calls.add(stats.priv_read_calls);
+        self.metrics.priv_write_calls.add(stats.priv_write_calls);
         self.metrics.priv_fast_words.add(stats.priv_fast_words);
         self.metrics.priv_slow_bytes.add(stats.priv_slow_bytes);
         self.metrics.contrib_pages.add(stats.contrib_pages);
@@ -712,8 +718,9 @@ impl MainRuntime {
             &mut self.events,
             EngineEvent::Recovery { from, through },
         );
-        let (result, out, rec_insts) =
+        let (result, out, rec) =
             run_recovery(module, code, &self.heaps, recovery, from..through + 1, mem);
+        let rec_insts = rec.insts;
         self.out.extend(out);
         self.stats.sim.total += rec_insts;
         self.stats.sim.recovery += rec_insts;
@@ -916,7 +923,7 @@ impl RuntimeIface for MainRuntime {
 /// Run the recovery body for each iteration of `iters` in order over
 /// `mem`, stopping at the first trap: non-speculative execution on a
 /// [`SequentialPlanRuntime`] that allocates from `heaps`. Returns the
-/// result, the output printed, and the instructions executed.
+/// result, the output printed, and the interpreter's counts.
 fn run_recovery(
     module: &Module,
     code: &Arc<Code>,
@@ -924,17 +931,20 @@ fn run_recovery(
     recovery: FuncId,
     mut iters: Range<i64>,
     mem: &mut AddressSpace,
-) -> (Result<(), Trap>, Vec<u8>, u64) {
+) -> (Result<(), Trap>, Vec<u8>, InterpStats) {
     let rt = SequentialPlanRuntime {
         heaps: heaps.clone(),
         out: Vec::new(),
+        regions: InterpStats::default(),
     };
     let taken = std::mem::take(mem);
     let mut interp = Interp::with_code(module, Arc::clone(code), taken, NopHooks, rt);
     let result =
         iters.try_for_each(|iter| interp.call_function(recovery, &[Val::Int(iter)]).map(drop));
     *mem = interp.mem;
-    (result, interp.rt.out, interp.stats.insts)
+    let mut stats = interp.stats;
+    stats += interp.rt.regions;
+    (result, interp.rt.out, stats)
 }
 
 /// The non-speculative runtime: executes `parallel_invoke` regions one
@@ -948,6 +958,10 @@ pub struct SequentialPlanRuntime {
     /// Shared logical-heap allocators.
     pub heaps: SharedHeaps,
     out: Vec<u8>,
+    /// What the parallel regions executed. Each region runs in an
+    /// interpreter of its own, so the calling interpreter's counts leave
+    /// it out; its counts plus these are the whole program's.
+    pub regions: InterpStats,
 }
 
 impl SequentialPlanRuntime {
@@ -956,6 +970,7 @@ impl SequentialPlanRuntime {
         SequentialPlanRuntime {
             heaps: SharedHeaps::new(image),
             out: Vec::new(),
+            regions: InterpStats::default(),
         }
     }
 
@@ -987,8 +1002,10 @@ impl RuntimeIface for SequentialPlanRuntime {
         hi: i64,
         mem: &mut AddressSpace,
     ) -> Result<(), Trap> {
-        let (result, out, _) = run_recovery(module, code, &self.heaps, plan.recovery, lo..hi, mem);
+        let (result, out, stats) =
+            run_recovery(module, code, &self.heaps, plan.recovery, lo..hi, mem);
         self.out.extend(out);
+        self.regions += stats;
         result
     }
 }

@@ -154,6 +154,13 @@ pub mod word {
         w & splat(0xFE) == 0
     }
 
+    /// Whether every lane holds a timestamp (no [`LIVE_IN`],
+    /// [`super::OLD_WRITE`] or [`READ_LIVE_IN`] lane) — a word the
+    /// current period wrote in full.
+    pub const fn all_timestamps(w: u64) -> bool {
+        eq_mask(w, LIVE_IN) | eq_mask(w, super::OLD_WRITE) | eq_mask(w, READ_LIVE_IN) == 0
+    }
+
     /// Result of attempting a word-granular transition.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Outcome {
@@ -392,6 +399,17 @@ mod tests {
                 word::splat(normalize(byte))
             );
         }
+    }
+
+    #[test]
+    fn all_timestamps_matches_bytewise() {
+        for &w in &rng_words(4, 2000) {
+            let expect = w.to_le_bytes().iter().all(|&b| b >= TS_BASE);
+            assert_eq!(word::all_timestamps(w), expect, "w={w:#018x}");
+        }
+        assert!(word::all_timestamps(word::splat(TS_BASE)));
+        assert!(!word::all_timestamps(word::splat(B) & !0xFF));
+        assert!(!word::all_timestamps(word::splat(READ_LIVE_IN)));
     }
 
     #[test]

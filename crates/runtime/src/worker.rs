@@ -290,6 +290,14 @@ impl RuntimeIface for WorkerRuntime {
     }
 }
 
+/// Whether `[addr, addr + size)` lies in the private heap. An empty range
+/// checks nothing, so it passes wherever it points: a coalesced range
+/// check of a loop that runs no trips must not misspeculate.
+fn private_range(addr: u64, size: u64) -> bool {
+    size == 0
+        || (Heap::Private.contains(addr) && Heap::Private.contains(addr.saturating_add(size - 1)))
+}
+
 impl WorkerRuntime {
     /// The reference per-byte privacy check (the pre-SWAR hot loop).
     ///
@@ -310,7 +318,7 @@ impl WorkerRuntime {
         size: u64,
         mem: &mut AddressSpace,
     ) -> Result<(), Trap> {
-        if !Heap::Private.contains(addr) {
+        if !private_range(addr, size) {
             return Err(Trap::misspec(
                 MisspecKind::Separation,
                 format!("private access to non-private address {addr:#x}"),
@@ -341,7 +349,7 @@ impl WorkerRuntime {
         size: u64,
         mem: &mut AddressSpace,
     ) -> Result<(), Trap> {
-        if !Heap::Private.contains(addr) {
+        if !private_range(addr, size) {
             return Err(Trap::misspec(
                 MisspecKind::Separation,
                 format!("private access to non-private address {addr:#x}"),
@@ -499,6 +507,27 @@ mod tests {
         rt.begin_iteration(0, 0).unwrap();
         rt.private_write(a, 8, &mut mem).unwrap();
         rt.private_read(a, 8, &mut mem).unwrap();
+        rt.end_iteration().unwrap();
+    }
+
+    #[test]
+    fn range_checks_cover_exactly_their_bytes() {
+        let (mut rt, mut mem, a) = setup();
+        rt.begin_iteration(0, 0).unwrap();
+        // An empty range checks nothing, wherever it points.
+        rt.private_write(0, 0, &mut mem).unwrap();
+        rt.private_read(Heap::ShortLived.base(), 0, &mut mem)
+            .unwrap();
+        // A range that leaves the private heap is a separation failure
+        // even though it starts inside it.
+        let last = Heap::Private.base() + (1 << privateer_ir::inst::HEAP_TAG_SHIFT) - 8;
+        let err = rt.private_write(last, 16, &mut mem).unwrap_err();
+        assert!(
+            matches!(&err, Trap::Misspec(m) if m.kind == MisspecKind::Separation),
+            "{err:?}"
+        );
+        rt.private_write(a, 4096, &mut mem).unwrap();
+        rt.private_read(a + 8, 16, &mut mem).unwrap();
         rt.end_iteration().unwrap();
     }
 

@@ -138,6 +138,73 @@ proptest! {
         }
     }
 
+    /// Two workers each write a whole page in one period, and a few
+    /// random reads and writes land on it too. The first contribution
+    /// merged takes the dense merge's word path for every word it wrote
+    /// in full; the second finds those words already written and takes
+    /// the per-byte path. Both must match the reference merge.
+    #[test]
+    fn fully_written_pages_merge_identically(
+        extra in prop::collection::vec(
+            (0usize..2, 0u64..PAGE_SIZE, 1u64..=64, any::<bool>(), any::<u8>()),
+            0..6,
+        ),
+        first in 0usize..2,
+    ) {
+        let page = Heap::Private.base() + 0x6000;
+        let mut workers: Vec<(WorkerRuntime, AddressSpace)> = (0..2)
+            .map(|w| (WorkerRuntime::new(w, 0.0, 0), AddressSpace::new()))
+            .collect();
+        for (w, (rt, mem)) in workers.iter_mut().enumerate() {
+            rt.begin_iteration(w as i64, w as u64).unwrap();
+            rt.private_write(page, PAGE_SIZE, mem).unwrap();
+            mem.fill(page, PAGE_SIZE, 0xA0 + w as u8);
+        }
+        for (i, &(w, off, len, is_write, val)) in extra.iter().enumerate() {
+            let (rt, mem) = &mut workers[w];
+            let iter = 2 + 2 * i as i64 + w as i64;
+            rt.begin_iteration(iter, iter as u64).unwrap();
+            let addr = page + off;
+            let len = len.min(PAGE_SIZE - off);
+            if is_write {
+                if rt.private_write(addr, len, mem).is_ok() {
+                    mem.fill(addr, len, val);
+                }
+            } else {
+                let _ = rt.private_read(addr, len, mem);
+            }
+        }
+
+        let mut committed_dense = AddressSpace::new();
+        let mut committed_ref = AddressSpace::new();
+        let mut dense = CheckpointMerge::new(0);
+        let mut reference = ReferenceCheckpointMerge::new(0);
+        let mut r_dense = Ok(());
+        let mut r_ref = Ok(());
+        for w in [first, 1 - first] {
+            let (_, mem) = &mut workers[w];
+            let full = collect_contribution(w, 0, mem, &[], vec![]);
+            let delta = DeltaTracker::new().collect(w, 0, mem, &[], vec![]);
+            if r_dense.is_ok() {
+                r_dense = dense.add(delta, &committed_dense);
+            }
+            if r_ref.is_ok() {
+                r_ref = reference.add(full, &committed_ref);
+            }
+        }
+        prop_assert_eq!(&r_dense, &r_ref);
+        if r_dense.is_err() {
+            return Ok(());
+        }
+        prop_assert_eq!(dense.written_bytes(), reference.written_bytes());
+        prop_assert!(dense.written_bytes() >= PAGE_SIZE as usize);
+        dense.commit(&mut committed_dense);
+        reference.commit(&mut committed_ref);
+        let (lo, hi) = priv_range();
+        prop_assert!(committed_dense.range_eq(&committed_ref, lo, hi));
+        prop_assert!(committed_dense.range_eq(&committed_ref, lo | SHADOW_BIT, hi | SHADOW_BIT));
+    }
+
     /// The dense merge commits runs page by page; make sure run splicing
     /// at page boundaries agrees with the reference byte-run committer
     /// when a single write straddles two pages.

@@ -80,6 +80,14 @@ pub struct InterpStats {
     pub stores: u64,
 }
 
+impl std::ops::AddAssign for InterpStats {
+    fn add_assign(&mut self, other: InterpStats) {
+        self.insts += other.insts;
+        self.loads += other.loads;
+        self.stores += other.stores;
+    }
+}
+
 /// A suspended caller while its callee runs.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
