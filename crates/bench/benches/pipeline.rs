@@ -1,12 +1,15 @@
 //! End-to-end benchmarks: the compiler pipeline itself (profile +
-//! classify + transform) and whole-program execution per configuration.
+//! classify + transform), the profiling run against plain interpretation,
+//! and whole-program execution per configuration.
 //! Wall-clock numbers here depend on the host's core count; the figure
 //! binaries report host-independent simulated cycles instead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use privateer::pipeline::{privatize, PipelineConfig};
 use privateer_bench::{run_privateer, run_sequential, Scale};
-use privateer_workloads::dijkstra;
+use privateer_profile::profile_module;
+use privateer_vm::{load_module, BasicRuntime, Interp, NopHooks};
+use privateer_workloads::{alvinn, dijkstra};
 use std::hint::black_box;
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -34,5 +37,32 @@ fn bench_execution(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipeline, bench_execution);
+/// The profiling run (§4.1) against plain interpretation of the same
+/// program: their ratio is what profiling costs. The program is the
+/// wall-clock benchmark's `alvinn-private` at its first seed.
+fn bench_profile(c: &mut Criterion) {
+    let m = alvinn::build(&alvinn::Params {
+        inputs: 16,
+        hidden: 10,
+        outputs: 4,
+        examples: 24,
+        epochs: 8,
+        seed: 1,
+    });
+    let image = load_module(&m);
+    let mut group = c.benchmark_group("profile_alvinn");
+    group.bench_function("interpret", |b| {
+        b.iter(|| {
+            let mut interp = Interp::new(&m, &image, NopHooks, BasicRuntime::strict());
+            interp.run_main().unwrap();
+            black_box(interp.stats.insts)
+        });
+    });
+    group.bench_function("profile", |b| {
+        b.iter(|| black_box(profile_module(&m, &image).unwrap().0.total_insts));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_pipeline, bench_execution, bench_profile);
 criterion_main!(benches);

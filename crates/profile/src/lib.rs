@@ -20,9 +20,10 @@
 //! All but the boundary profiler run together in one instrumented
 //! execution via [`suite::profile_module`]. That run is a set of
 //! specialised profilers over shadow state: flow dependences come from
-//! per-byte `(stamp, site)` last-writer shadow pages compared against
-//! the stamps of the mirrored loop stack, loop weights from a per-block
-//! instruction clock, and per-site results from dense tables. The
+//! shadow pages of per-byte last-writer cells, each a packed
+//! `(stamp, site)`, compared against the stamps of the mirrored loop
+//! stack, loop weights from a per-block instruction clock, and per-site
+//! results from dense tables. The
 //! [`suite`] module documentation gives the layout and the rules.
 
 pub mod boundary;

@@ -11,10 +11,12 @@
 //!   each frame records the stamp of its invocation's start and of its
 //!   current iteration's start, and whether it is the *outermost* frame of
 //!   its `(func, loop)` (recursion can put one loop on the stack twice). A
-//!   store writes `(stamp, dense site index)` into every byte it covers, in
-//!   paged shadow memory shaped like [`AddressSpace`]'s 4 KiB pages. A
-//!   load walks each run of bytes with one writer once, and reports a
-//!   cross-iteration dependence for frame `f` iff `f` is outermost and
+//!   store writes one packed cell, `stamp << SITE_BITS | dense site`, into
+//!   every byte it covers, in paged shadow memory shaped like
+//!   [`AddressSpace`]'s 4 KiB pages and materialised by stores. A load
+//!   whose bytes all hold one cell is checked once; otherwise it walks each
+//!   run of bytes with one cell once. It reports a cross-iteration
+//!   dependence for frame `f` iff `f` is outermost and
 //!   `f.inv_start <= stamp < f.iter_start`: the write happened in this
 //!   invocation of `f`'s loop, in an earlier iteration. That is the test
 //!   "the writer's first frame of this loop is the same invocation, at an
@@ -23,16 +25,28 @@
 //!   never the inner one. Frames nest, so every frame below the innermost
 //!   frame with `inv_start <= stamp` has `iter_start < stamp`; only that
 //!   one frame can match.
+//! * **Packing bounds.** A cell keeps `SITE_BITS` (24) bits of site and
+//!   40 of stamp. [`ProfileSuite::new`] refuses a module with more sites
+//!   than the site field holds, and a run whose stamp passes the stamp
+//!   field's maximum ends in a [`Trap`] from [`ProfileSuite::finish`]
+//!   (and so from [`profile_module`]) instead of wrapping.
 //! * **Loop weights.** Entering a block adds its non-phi instruction count
 //!   to an instruction clock. A loop invocation's weight is the clock at
 //!   its exit minus the clock at its entry; the program's instruction
 //!   count is the final clock. A recursive loop's nested invocations count
 //!   again in the enclosing ones, as every instruction counts once per
-//!   active frame.
+//!   active frame. Its iteration count adds each exit's trip count.
 //! * **Site tables.** Access sites and blocks index dense per-module
 //!   tables. Each access site caches the object interval it last hit; the
 //!   cache stays valid until the object map next removes an entry, and an
-//!   access inside it skips the interval-map query.
+//!   access inside it skips the interval-map query. Each access site also
+//!   caches the shadow page it last touched (a site streams through one
+//!   page); shadow pages are never freed, so that cache is checked by page
+//!   number only, and a miss goes to an Fx-hashed page map.
+//! * **Saturated dependences.** A dependence keeps at most
+//!   `DEP_ADDR_CAP` distinct byte addresses; once a new one had to be
+//!   dropped, later flow through it only adds to its count. Before that,
+//!   flow inside a byte range the set is known to hold skips the set.
 
 use crate::interval::IntervalMap;
 use crate::names::{CallSite, ObjectName};
@@ -40,10 +54,10 @@ use privateer_ir::loops::LoopId;
 use privateer_ir::{BlockId, FuncId, InstId, InstKind, Module};
 use privateer_vm::hooks::{AllocKind, ExecCtx, Hooks, LoopFrame};
 use privateer_vm::interp::{Interp, ProgramImage};
-use privateer_vm::mem::PAGE_SHIFT;
+use privateer_vm::mem::{FxHashMap, PAGE_SHIFT};
 use privateer_vm::runtime::BasicRuntime;
 use privateer_vm::{AddressSpace, Trap, PAGE_SIZE};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Identifies a loop module-wide.
 pub type LoopRef = (FuncId, LoopId);
@@ -168,53 +182,53 @@ struct Frame {
     outermost: bool,
 }
 
-/// Paged last-writer shadow memory: for each written byte, the stamp at
-/// the time of the store and the store's dense site index. Pages are
-/// materialised on first write, in the order written; page slot `k` owns
-/// entries `k * PAGE_SIZE ..` of `stamps` and `sites`.
+/// Bits of a shadow cell that hold the writer's dense site index; the
+/// stamp takes the other 40.
+const SITE_BITS: u32 = 24;
+/// Sites a module may have: every dense site index must fit a cell.
+const MAX_SITES: usize = 1 << SITE_BITS;
+/// The largest stamp a cell holds.
+const MAX_STAMP: u64 = u64::MAX >> SITE_BITS;
+
+/// The shadow cell of a byte last written at `stamp` by `site`.
+fn pack(stamp: u64, site: u32) -> u64 {
+    stamp << SITE_BITS | u64::from(site)
+}
+
+/// The stamp of a shadow cell.
+fn cell_stamp(cell: u64) -> u64 {
+    cell >> SITE_BITS
+}
+
+/// The dense site index of a shadow cell.
+fn cell_site(cell: u64) -> u32 {
+    (cell & (MAX_SITES as u64 - 1)) as u32
+}
+
+/// Paged last-writer shadow memory: one packed cell per byte (see
+/// [`pack`]; zero, stamp 0, never reports a dependence). Pages are
+/// materialised on first write, in the order written, and never freed;
+/// page slot `k` owns `cells[k * PAGE_SIZE ..]`.
 #[derive(Debug, Default)]
 struct Shadow {
-    slots: HashMap<u64, usize>,
-    stamps: Vec<u64>,
-    sites: Vec<u32>,
-    /// `(page number, slot)` of the last page touched.
-    last: Option<(u64, usize)>,
+    slots: FxHashMap<u64, usize>,
+    cells: Vec<u64>,
 }
 
 impl Shadow {
     /// The slot of page `page_no`, if it was ever written.
-    fn find(&mut self, page_no: u64) -> Option<usize> {
-        match self.last {
-            Some((p, slot)) if p == page_no => Some(slot),
-            _ => {
-                let slot = *self.slots.get(&page_no)?;
-                self.last = Some((page_no, slot));
-                Some(slot)
-            }
-        }
+    fn find(&self, page_no: u64) -> Option<usize> {
+        self.slots.get(&page_no).copied()
     }
 
     /// The slot of page `page_no`, materialising it zeroed.
-    fn find_or_insert(&mut self, page_no: u64) -> usize {
-        if let Some(slot) = self.find(page_no) {
-            return slot;
+    fn slot(&mut self, page_no: u64) -> usize {
+        let next = self.slots.len();
+        let slot = *self.slots.entry(page_no).or_insert(next);
+        if slot == next {
+            self.cells.resize((next + 1) * PAGE_SIZE as usize, 0);
         }
-        let slot = self.slots.len();
-        let len = (slot + 1) * PAGE_SIZE as usize;
-        self.stamps.resize(len, 0);
-        self.sites.resize(len, 0);
-        self.slots.insert(page_no, slot);
-        self.last = Some((page_no, slot));
         slot
-    }
-
-    /// Record `(stamp, site)` as the last writer of `[addr, addr + size)`.
-    fn write(&mut self, addr: u64, size: u32, stamp: u64, site: u32) {
-        for (page_no, off, n) in page_chunks(addr, size) {
-            let at = self.find_or_insert(page_no) * PAGE_SIZE as usize + off;
-            self.stamps[at..at + n].fill(stamp);
-            self.sites[at..at + n].fill(site);
-        }
     }
 }
 
@@ -235,7 +249,7 @@ fn page_chunks(addr: u64, size: u32) -> impl Iterator<Item = (u64, usize, usize)
 }
 
 /// What one access site observed.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct AccessSite {
     /// The site executed at least once.
     seen: bool,
@@ -245,9 +259,37 @@ struct AccessSite {
     /// `hit_epoch` equals the suite's removal epoch.
     hit: (u64, u64),
     hit_epoch: u64,
-    /// Flow dependences into this (loading) site, as
-    /// `((loop, writing site), dependence)`.
-    deps: Vec<((LoopRef, u32), DepInfo)>,
+    /// `(page number, shadow slot)` of the shadow page the site last
+    /// touched (`u64::MAX`: none).
+    page: (u64, usize),
+    /// Flow dependences into this (loading) site.
+    deps: Vec<Dep>,
+}
+
+/// A flow dependence into a loading site.
+#[derive(Debug, Clone)]
+struct Dep {
+    /// The loop carrying it and the writing site.
+    key: (LoopRef, u32),
+    info: DepInfo,
+    /// Bytes `[held.0, held.1)` are all in `info.addrs`: flow through them
+    /// again skips the set. It grows while recorded ranges touch it, so a
+    /// dependence through a small array stops searching the set once it
+    /// holds the whole array.
+    held: (u64, u64),
+}
+
+impl Default for AccessSite {
+    fn default() -> AccessSite {
+        AccessSite {
+            seen: false,
+            objects: BTreeSet::new(),
+            hit: (0, 0),
+            hit_epoch: 0,
+            page: (u64::MAX, 0),
+            deps: Vec::new(),
+        }
+    }
 }
 
 /// The [`Hooks`] implementation that gathers a [`Profile`].
@@ -256,7 +298,7 @@ pub struct ProfileSuite {
     objmap: IntervalMap<ObjectName>,
     /// Bumped whenever `objmap` loses an entry; invalidates site caches.
     objmap_epoch: u64,
-    live: HashMap<u64, LiveObj>,
+    live: FxHashMap<u64, LiveObj>,
     allocated_under: BTreeSet<(ObjectName, LoopRef)>,
     lifetime_violations: BTreeSet<(ObjectName, LoopRef)>,
     /// Dense site index of each function's first instruction.
@@ -285,7 +327,14 @@ pub struct ProfileSuite {
 
 impl ProfileSuite {
     /// A suite with globals pre-registered in the object map.
-    pub fn new(module: &Module, image: &ProgramImage) -> ProfileSuite {
+    ///
+    /// # Errors
+    ///
+    /// A [`Trap::Internal`] if the module has more instructions than a
+    /// shadow cell's site field can index.
+    pub fn new(module: &Module, image: &ProgramImage) -> Result<ProfileSuite, Trap> {
+        let n_sites: usize = module.functions.iter().map(|f| f.insts.len()).sum();
+        check_sites(n_sites)?;
         let mut objmap = IntervalMap::new();
         for g in module.global_ids() {
             let addr = image.global_addrs[g.index()];
@@ -309,10 +358,10 @@ impl ProfileSuite {
                     .count() as u64
             }));
         }
-        ProfileSuite {
+        Ok(ProfileSuite {
             objmap,
             objmap_epoch: 0,
-            live: HashMap::new(),
+            live: FxHashMap::default(),
             allocated_under: BTreeSet::new(),
             lifetime_violations: BTreeSet::new(),
             access: vec![AccessSite::default(); sites.len()],
@@ -328,7 +377,7 @@ impl ProfileSuite {
             stamp: 0,
             clock: 0,
             shadow: Shadow::default(),
-        }
+        })
     }
 
     fn site(&self, func: FuncId, inst: InstId) -> usize {
@@ -374,50 +423,126 @@ impl ProfileSuite {
         (f.outermost && stamp < f.iter_start).then_some(f.lp)
     }
 
-    fn note_flow(&mut self, dst: u32, addr: u64, size: u32) {
+    /// The shadow slot of page `page_no` for a store by `site`,
+    /// materialising the page.
+    fn store_slot(&mut self, site: usize, page_no: u64) -> usize {
+        let a = &mut self.access[site];
+        if a.page.0 != page_no {
+            a.page = (page_no, self.shadow.slot(page_no));
+        }
+        a.page.1
+    }
+
+    /// The shadow slot of page `page_no` for a load by `site`, if the page
+    /// was ever written.
+    fn load_slot(&mut self, site: usize, page_no: u64) -> Option<usize> {
+        let a = &mut self.access[site];
+        if a.page.0 != page_no {
+            a.page = (page_no, self.shadow.find(page_no)?);
+        }
+        Some(a.page.1)
+    }
+
+    /// Record `site` as the last writer of `[addr, addr + size)`.
+    fn note_write(&mut self, site: usize, addr: u64, size: u32) {
+        let cell = pack(self.stamp, site as u32);
+        let off = (addr & (PAGE_SIZE - 1)) as usize;
+        let n = size as usize;
+        if off + n <= PAGE_SIZE as usize {
+            let at = self.store_slot(site, addr >> PAGE_SHIFT) * PAGE_SIZE as usize + off;
+            self.shadow.cells[at..at + n].fill(cell);
+            return;
+        }
         for (page_no, off, n) in page_chunks(addr, size) {
-            let Some(slot) = self.shadow.find(page_no) else {
-                continue;
-            };
-            // Walk each run of bytes with one last writer once.
-            let base = slot * PAGE_SIZE as usize;
-            let (mut i, end) = (base + off, base + off + n);
-            while i < end {
-                let (stamp, src) = (self.shadow.stamps[i], self.shadow.sites[i]);
-                let mut j = i + 1;
-                while j < end && self.shadow.stamps[j] == stamp && self.shadow.sites[j] == src {
-                    j += 1;
+            let at = self.shadow.slot(page_no) * PAGE_SIZE as usize + off;
+            self.shadow.cells[at..at + n].fill(cell);
+        }
+    }
+
+    /// Report the cross-iteration flow into the load at `dst` of
+    /// `[addr, addr + size)`.
+    fn note_flow(&mut self, dst: usize, addr: u64, size: u32) {
+        let off = (addr & (PAGE_SIZE - 1)) as usize;
+        let n = size as usize;
+        let page_no = addr >> PAGE_SHIFT;
+        if off + n > PAGE_SIZE as usize {
+            for (page_no, off, n) in page_chunks(addr, size) {
+                if let Some(slot) = self.shadow.find(page_no) {
+                    self.note_runs(dst, page_no, slot * PAGE_SIZE as usize, off, n);
                 }
-                if let Some(lp) = self.carried_by(stamp) {
-                    let first = (page_no << PAGE_SHIFT) + (i - base) as u64;
-                    self.record_dep(lp, src, dst, first, j - i);
-                }
-                i = j;
             }
+            return;
+        }
+        let Some(slot) = self.load_slot(dst, page_no) else {
+            return;
+        };
+        let base = slot * PAGE_SIZE as usize;
+        let Some((&cell, rest)) = self.shadow.cells[base + off..base + off + n].split_first()
+        else {
+            return;
+        };
+        if rest.iter().all(|&c| c == cell) {
+            if let Some(lp) = self.carried_by(cell_stamp(cell)) {
+                self.record_dep(lp, cell_site(cell), dst, addr, n);
+            }
+        } else {
+            self.note_runs(dst, page_no, base, off, n);
+        }
+    }
+
+    /// Report the flow into `dst` of the `n` bytes from offset `off` of
+    /// page `page_no` (shadow cells from `base`), walking each run of
+    /// bytes with one cell once.
+    fn note_runs(&mut self, dst: usize, page_no: u64, base: usize, off: usize, n: usize) {
+        let (mut i, end) = (base + off, base + off + n);
+        while i < end {
+            let cell = self.shadow.cells[i];
+            let mut j = i + 1;
+            while j < end && self.shadow.cells[j] == cell {
+                j += 1;
+            }
+            if let Some(lp) = self.carried_by(cell_stamp(cell)) {
+                let first = (page_no << PAGE_SHIFT) + (i - base) as u64;
+                self.record_dep(lp, cell_site(cell), dst, first, j - i);
+            }
+            i = j;
         }
     }
 
     /// Count the `len` bytes from `first` as flow from site `src` into
     /// site `dst`, carried by `lp`.
-    fn record_dep(&mut self, lp: LoopRef, src: u32, dst: u32, first: u64, len: usize) {
-        let deps = &mut self.access[dst as usize].deps;
-        let k = match deps.iter().position(|(k, _)| *k == (lp, src)) {
+    fn record_dep(&mut self, lp: LoopRef, src: u32, dst: usize, first: u64, len: usize) {
+        let deps = &mut self.access[dst].deps;
+        let k = match deps.iter().position(|d| d.key == (lp, src)) {
             Some(k) => k,
             None => {
-                deps.push(((lp, src), DepInfo::default()));
+                deps.push(Dep {
+                    key: (lp, src),
+                    info: DepInfo::default(),
+                    held: (0, 0),
+                });
                 deps.len() - 1
             }
         };
-        let dep = &mut deps[k].1;
-        dep.count += len as u64;
-        for b in first..first + len as u64 {
-            if dep.addrs.len() < DEP_ADDR_CAP {
-                dep.addrs.insert(b);
-            } else {
-                dep.addrs_overflow = true;
-                break;
+        let Dep { info, held, .. } = &mut deps[k];
+        info.count += len as u64;
+        let end = first + len as u64;
+        if info.addrs_overflow || (held.0 <= first && end <= held.1) {
+            return;
+        }
+        for b in first..end {
+            if info.addrs.len() < DEP_ADDR_CAP {
+                info.addrs.insert(b);
+            } else if !info.addrs.contains(&b) {
+                info.addrs_overflow = true;
+                return;
             }
         }
+        *held = if first <= held.1 && held.0 <= end {
+            (held.0.min(first), held.1.max(end))
+        } else {
+            (first, end)
+        };
     }
 
     fn note_dealloc(&mut self, ctx: &ExecCtx, addr: u64) {
@@ -443,7 +568,18 @@ impl ProfileSuite {
     }
 
     /// Finalize into a queryable [`Profile`].
-    pub fn finish(mut self) -> Profile {
+    ///
+    /// # Errors
+    ///
+    /// A [`Trap::Internal`] if the run ticked the stamp past what a shadow
+    /// cell holds: cells written after that would alias earlier stamps.
+    pub fn finish(mut self) -> Result<Profile, Trap> {
+        if self.stamp > MAX_STAMP {
+            return Err(Trap::Internal(format!(
+                "profile: the run started more than {MAX_STAMP} loop invocations and iterations, \
+                 the most a shadow cell's stamp holds"
+            )));
+        }
         // Never-freed objects are not short-lived for any enclosing loop.
         let live: Vec<LiveObj> = self.live.drain().map(|(_, o)| o).collect();
         for obj in live {
@@ -462,9 +598,14 @@ impl ProfileSuite {
         let mut cross_deps: BTreeMap<LoopRef, BTreeMap<(CallSite, CallSite), DepInfo>> =
             BTreeMap::new();
         for (&dst, a) in self.sites.iter().zip(self.access) {
-            for ((lp, src), dep) in a.deps {
+            for Dep {
+                key: (lp, src),
+                info,
+                ..
+            } in a.deps
+            {
                 let key = (self.sites[src as usize], dst);
-                cross_deps.entry(lp).or_default().insert(key, dep);
+                cross_deps.entry(lp).or_default().insert(key, info);
             }
             if a.seen {
                 access_objects.insert(dst, a.objects);
@@ -496,7 +637,7 @@ impl ProfileSuite {
             .filter(|(_, &e)| e)
             .map(|(&k, _)| k)
             .collect();
-        Profile {
+        Ok(Profile {
             access_objects,
             short_lived,
             allocated_under: self.allocated_under,
@@ -505,8 +646,18 @@ impl ProfileSuite {
             branch_stats,
             executed_blocks,
             total_insts: self.clock,
-        }
+        })
     }
+}
+
+/// Refuse a module with more access sites than a shadow cell indexes.
+fn check_sites(n_sites: usize) -> Result<(), Trap> {
+    if n_sites > MAX_SITES {
+        return Err(Trap::Internal(format!(
+            "profile: {n_sites} instructions, more than the {MAX_SITES} a shadow cell's site indexes"
+        )));
+    }
+    Ok(())
 }
 
 impl Hooks for ProfileSuite {
@@ -522,7 +673,7 @@ impl Hooks for ProfileSuite {
         let site = self.site(func, inst);
         self.record_access(site, addr, size);
         if !self.frames.is_empty() {
-            self.note_flow(site as u32, addr, size);
+            self.note_flow(site, addr, size);
         }
     }
 
@@ -537,7 +688,7 @@ impl Hooks for ProfileSuite {
     ) {
         let site = self.site(func, inst);
         self.record_access(site, addr, size);
-        self.shadow.write(addr, size, self.stamp, site as u32);
+        self.note_write(site, addr, size);
     }
 
     fn on_alloc(
@@ -617,14 +768,15 @@ impl Hooks for ProfileSuite {
             .expect("iteration of an entered loop");
         debug_assert_eq!(top.lp, (func, loop_id));
         top.iter_start = self.stamp;
-        self.loop_stats((func, loop_id)).total_iters += 1;
     }
 
-    fn on_loop_exit(&mut self, _ctx: &ExecCtx, func: FuncId, loop_id: LoopId, _trips: u64) {
+    fn on_loop_exit(&mut self, _ctx: &ExecCtx, func: FuncId, loop_id: LoopId, trips: u64) {
         let f = self.frames.pop().expect("exit of an entered loop");
         debug_assert_eq!(f.lp, (func, loop_id));
         let weight = self.clock - f.clock_at_entry;
-        self.loop_stats(f.lp).weight += weight;
+        let stats = self.loop_stats(f.lp);
+        stats.total_iters += trips;
+        stats.weight += weight;
     }
 
     fn on_block(&mut self, _ctx: &ExecCtx, func: FuncId, block: BlockId) {
@@ -641,11 +793,82 @@ impl Hooks for ProfileSuite {
 ///
 /// # Errors
 ///
-/// Propagates any [`Trap`] from execution.
+/// Propagates any [`Trap`] from execution, and those of
+/// [`ProfileSuite::new`] and [`ProfileSuite::finish`].
 pub fn profile_module(module: &Module, image: &ProgramImage) -> Result<(Profile, Vec<u8>), Trap> {
-    let suite = ProfileSuite::new(module, image);
+    run_suite(ProfileSuite::new(module, image)?, module, image)
+}
+
+/// Run `main` under `suite`.
+fn run_suite(
+    suite: ProfileSuite,
+    module: &Module,
+    image: &ProgramImage,
+) -> Result<(Profile, Vec<u8>), Trap> {
     let mut interp = Interp::new(module, image, suite, BasicRuntime::strict());
     interp.run_main()?;
     let out = interp.rt.take_output();
-    Ok((interp.hooks.finish(), out))
+    Ok((interp.hooks.finish()?, out))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use privateer_ir::builder::FunctionBuilder;
+    use privateer_ir::{Type, Value};
+    use privateer_vm::load_module;
+    use privateer_workloads::util::for_loop;
+
+    #[test]
+    fn cells_hold_the_largest_stamp_and_site() {
+        let site = MAX_SITES as u32 - 1;
+        let cell = pack(MAX_STAMP, site);
+        assert_eq!((cell_stamp(cell), cell_site(cell)), (MAX_STAMP, site));
+        assert_eq!((cell_stamp(pack(1, 0)), cell_site(pack(1, 0))), (1, 0));
+    }
+
+    #[test]
+    fn a_module_with_more_sites_than_a_cell_indexes_is_refused() {
+        assert!(check_sites(MAX_SITES).is_ok());
+        let err = check_sites(MAX_SITES + 1).unwrap_err();
+        assert!(
+            matches!(err, Trap::Internal(ref m) if m.contains("instructions")),
+            "{err}"
+        );
+    }
+
+    /// `for i in 0..3 { buf = i }`: five stamp ticks (the entry, and four
+    /// iteration starts counting the exit test).
+    fn three_trip_loop() -> Module {
+        let mut m = Module::new("ticks");
+        let buf = Value::Global(m.add_global("buf", 8));
+        let mut b = FunctionBuilder::new("main", vec![], None);
+        for_loop(&mut b, Value::const_i64(0), Value::const_i64(3), |b, i| {
+            b.store(Type::I64, i, buf);
+        });
+        b.ret(None);
+        m.add_function(b.finish());
+        privateer_ir::verify::verify_module(&m).unwrap();
+        m
+    }
+
+    /// Profile `m` with the stamp starting at `stamp`.
+    fn profile_from(m: &Module, stamp: u64) -> Result<(Profile, Vec<u8>), Trap> {
+        let image = load_module(m);
+        let mut suite = ProfileSuite::new(m, &image)?;
+        suite.stamp = stamp;
+        run_suite(suite, m, &image)
+    }
+
+    #[test]
+    fn a_run_that_exhausts_the_stamp_space_traps() {
+        let m = three_trip_loop();
+        let (profile, _) = profile_from(&m, MAX_STAMP - 5).expect("the last stamp fits");
+        assert_eq!(profile.loops_by_weight()[0].1.total_iters, 4);
+        let err = profile_from(&m, MAX_STAMP - 4).unwrap_err();
+        assert!(
+            matches!(err, Trap::Internal(ref m) if m.contains("stamp")),
+            "{err}"
+        );
+    }
 }

@@ -7,6 +7,7 @@ use privateer_ir::loops::LoopId;
 use privateer_ir::{CmpOp, FuncId, InstKind, Module, Type, Value};
 use privateer_profile::{profile_module, ObjectName};
 use privateer_vm::load_module;
+use privateer_workloads::util::for_loop;
 
 mod programs;
 
@@ -224,4 +225,54 @@ fn recursion_through_a_loop_reports_only_the_outermost_dependence() {
     assert_eq!(stats.weight, 46);
     // main's call, load and print, plus O's 31.
     assert_eq!(profile.total_insts, 34);
+}
+
+/// `for i in 0..3 { for j in 0..n { load i8 buf[j]; store i8 buf[j] } }`:
+/// from the outer loop's second iteration on, the load reads the `n` bytes
+/// the store wrote in the iteration before.
+fn carried_bytes_program(n: i64) -> Module {
+    let mut m = Module::new("carried");
+    let buf = Value::Global(m.add_global("buf", 72));
+    let mut b = FunctionBuilder::new("main", vec![], None);
+    for_loop(&mut b, Value::const_i64(0), Value::const_i64(3), |b, i| {
+        for_loop(b, Value::const_i64(0), Value::const_i64(n), |b, j| {
+            let p = b.gep(buf, j, 1, 0);
+            b.load(Type::I8, p);
+            let v = b.trunc(i, Type::I8);
+            b.store(Type::I8, v, p);
+        });
+    });
+    b.ret(None);
+    m.add_function(b.finish());
+    privateer_ir::verify::verify_module(&m).unwrap();
+    m
+}
+
+/// The one cross-iteration dependence of `carried_bytes_program(n)`.
+fn carried_dep(n: i64) -> (u64, privateer_profile::DepInfo) {
+    let m = carried_bytes_program(n);
+    let image = load_module(&m);
+    let (profile, _) = profile_module(&m, &image).unwrap();
+    let deps: Vec<_> = profile.cross_deps.values().flatten().collect();
+    assert_eq!(deps.len(), 1, "{deps:?}");
+    let buf = image.global_addrs[m.global_by_name("buf").unwrap().index()];
+    (buf, deps[0].1.clone())
+}
+
+#[test]
+fn a_dependence_through_exactly_the_address_cap_does_not_overflow() {
+    // Two iterations each carry the same 64 bytes: the second adds no new
+    // address, so nothing is dropped.
+    let (buf, info) = carried_dep(64);
+    assert_eq!(info.count, 2 * 64);
+    assert_eq!(info.addrs, (buf..buf + 64).collect());
+    assert!(!info.addrs_overflow);
+}
+
+#[test]
+fn a_dependence_through_one_byte_more_than_the_cap_overflows() {
+    let (buf, info) = carried_dep(65);
+    assert_eq!(info.count, 2 * 65);
+    assert_eq!(info.addrs, (buf..buf + 64).collect());
+    assert!(info.addrs_overflow);
 }

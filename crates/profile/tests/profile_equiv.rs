@@ -2,7 +2,9 @@
 //! tables) gathers exactly the profile of the per-event reference profiler
 //! in `reference/`, compared through `format!("{:?}")`, on the five
 //! workloads, the wall-clock benchmark's three configurations, the
-//! end-to-end test programs and generated programs.
+//! end-to-end test programs and generated programs, among them programs
+//! aimed at the suite's fast paths: sites striding across shadow pages and
+//! loads whose bytes have different last writers.
 
 use privateer_ir::builder::FunctionBuilder;
 use privateer_ir::{CmpOp, FuncId, Module, Type, Value};
@@ -301,11 +303,93 @@ fn generated_program(seed: u64) -> Module {
     m
 }
 
+/// A program whose `main` runs `stmts` (which must not call).
+fn straight_program(stmts: &[Stmt]) -> Module {
+    let mut m = Module::new("straight");
+    let env = Env {
+        buf: Value::Global(m.add_global("buf", BUF_SIZE)),
+        cells: Value::Global(m.add_global("cells", 8 * CELLS)),
+        helper: FuncId::new(0),
+        recursive: FuncId::new(0),
+        slot: None,
+    };
+    let mut b = FunctionBuilder::new("main", vec![], None);
+    emit(&mut b, &env, Value::const_i64(0), stmts);
+    b.ret(None);
+    m.add_function(b.finish());
+    m
+}
+
+/// Strides of about a page: each trip of a striding site lands on the
+/// next page of the buffer.
+const PAGE_STRIDES: [u64; 3] = [4088, 4096, 4104];
+/// Offsets a page-striding access starts at, so that its third trip
+/// (`off + 2 * 4104 + 8`) stays inside the buffer.
+const STRIDE_OFFSETS: [i64; 5] = [0, 5, 2040, 4067, 4072];
+/// Access types of the page-striding sites.
+const TYPES: [Type; 3] = [Type::I8, Type::I32, Type::I64];
+/// Words the mixed-writer loads read; the last straddles the first page
+/// boundary.
+const MIXED_WORDS: [i64; 4] = [0, 8, 4088, 4092];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn generated_programs(seed in any::<u64>()) {
         assert_same_profile(&format!("generated seed {seed}"), &generated_program(seed));
+    }
+
+    /// One store site and one load site stride across page boundaries,
+    /// between accesses of sites that stay on one page, so each site's
+    /// cached shadow page goes stale on every trip.
+    #[test]
+    fn sites_striding_across_pages(
+        stride in 0..PAGE_STRIDES.len(),
+        offs in (0..STRIDE_OFFSETS.len(), 0..STRIDE_OFFSETS.len(), 0..BUF_OFFSETS.len()),
+        tys in (0..TYPES.len(), 0..TYPES.len()),
+        outer in 2..4i64,
+        trips in 2..4i64,
+    ) {
+        let scale = PAGE_STRIDES[stride];
+        let fixed = Target::Buf { off: BUF_OFFSETS[offs.2], scale: 0 };
+        let inner = Stmt::Loop {
+            trips,
+            body: vec![
+                Stmt::Load { ty: Type::I64, at: fixed },
+                Stmt::Store {
+                    ty: TYPES[tys.0],
+                    at: Target::Buf { off: STRIDE_OFFSETS[offs.0], scale },
+                },
+                Stmt::Store { ty: Type::I8, at: fixed },
+                Stmt::Load {
+                    ty: TYPES[tys.1],
+                    at: Target::Buf { off: STRIDE_OFFSETS[offs.1], scale },
+                },
+            ],
+        };
+        let program = straight_program(&[Stmt::Loop { trips: outer, body: vec![inner] }]);
+        assert_same_profile(&format!("stride {scale}, offsets {offs:?}"), &program);
+    }
+
+    /// A 1-byte store into an 8-byte word the iteration before an 8-byte
+    /// load of it: the load's bytes hold two different last writers.
+    #[test]
+    fn a_load_over_mixed_writers(
+        word in 0..MIXED_WORDS.len(),
+        byte in 0..8i64,
+        trips in 2..4i64,
+    ) {
+        let word = MIXED_WORDS[word];
+        let at = Target::Buf { off: word, scale: 0 };
+        let program = straight_program(&[Stmt::Loop {
+            trips,
+            body: vec![
+                Stmt::Load { ty: Type::I64, at },
+                Stmt::Store { ty: Type::I64, at },
+                Stmt::Store { ty: Type::I8, at: Target::Buf { off: word + byte, scale: 0 } },
+            ],
+        }]);
+        assert_same_profile(&format!("word {word} byte {byte}"), &program);
     }
 }

@@ -121,7 +121,7 @@ impl ReferenceSuite {
                     dep.count += 1;
                     if dep.addrs.len() < DEP_ADDR_CAP {
                         dep.addrs.insert(b);
-                    } else {
+                    } else if !dep.addrs.contains(&b) {
                         dep.addrs_overflow = true;
                     }
                 }

@@ -34,7 +34,7 @@ pub const MALLOC_BASE: u64 = 0x0000_4000_0000;
 /// standard library's DoS-resistant SipHash buys nothing and costs a
 /// multiple of this on every page lookup.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 impl Hasher for FxHasher {
     #[inline]
@@ -56,7 +56,7 @@ impl Hasher for FxHasher {
 }
 
 /// A `HashMap` keyed by integers, hashed with [`FxHasher`].
-pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// A paged, copy-on-write, byte-addressed 64-bit address space.
 ///
