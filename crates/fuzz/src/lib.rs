@@ -23,10 +23,14 @@
 //! * [`oracle`] — runs one case through the sequential baseline and the
 //!   speculative engine at every configured worker count, each with the
 //!   fast and the reference merge, plus a phase-2 fault run and seeded
-//!   [`VirtualScheduler`](privateer_runtime::VirtualScheduler)
-//!   interleavings, asserting byte-identical output, identical
-//!   trap decisions, and conserved `EngineStats`/telemetry invariants —
-//!   plus automatic test-case shrinking on failure;
+//!   [`VirtualScheduler`] interleavings, asserting byte-identical
+//!   output, identical trap decisions, and conserved
+//!   `EngineStats`/telemetry invariants — plus automatic test-case
+//!   shrinking on failure;
+//! * [`schedule`] — [`VirtualScheduler`], a deterministic rendezvous
+//!   scheduler that plugs into the engine's gate seam
+//!   (`MainRuntime::set_gate`) and turns worker interleavings into
+//!   scripted, replayable data;
 //! * [`trace`] — the shared trace strategies used by the
 //!   runtime's checkpoint proptests and reusable from fuzz harnesses;
 //! * [`rng`] — the deterministic `splitmix64` generator everything is
@@ -40,8 +44,10 @@ pub mod gen;
 pub mod merge;
 pub mod oracle;
 pub mod rng;
+pub mod schedule;
 pub mod trace;
 
 pub use gen::{CaseSpec, Stmt};
 pub use oracle::{run_seeded, shrink, CaseFailure, OracleConfig, RunSummary};
 pub use rng::Rng;
+pub use schedule::VirtualScheduler;

@@ -13,7 +13,8 @@
 //!    privacy misspeculation, so the whole period must recover
 //!    sequentially (the [`CaseReport`] records whether the fault fired:
 //!    an earlier misspeculation can squash the chosen period first);
-//! 4. seeded [`VirtualScheduler::random_arrivals`] runs, so
+//! 4. seeded [`VirtualScheduler::random_arrivals`] runs, with the
+//!    scheduler plugged into the engine's gate seam, so
 //!    contribution-arrival interleavings free-running spans rarely
 //!    produce are explored deterministically.
 //!
@@ -37,15 +38,13 @@
 use crate::gen::CaseSpec;
 use crate::merge;
 use crate::rng::Rng;
+use crate::schedule::VirtualScheduler;
 use privateer::transform::coalesce_privacy_checks;
 use privateer_ir::Module;
-use privateer_runtime::{
-    EngineConfig, EngineEvent, MainRuntime, SequentialPlanRuntime, VirtualScheduler,
-};
+use privateer_runtime::{EngineConfig, EngineEvent, MainRuntime, SequentialPlanRuntime};
 use privateer_telemetry::Telemetry;
 use privateer_vm::{load_module, Interp, MisspecKind, NopHooks, Trap};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// The execution-mode matrix a case is checked against.
 #[derive(Debug, Clone)]
@@ -416,9 +415,7 @@ pub fn check_case(spec: &CaseSpec, oc: &OracleConfig) -> Result<CaseReport, Case
 
         for s in 0..oc.schedule_seeds {
             let sched = VirtualScheduler::random_arrivals(w0, periods, s);
-            let run = engine_run(module, base_cfg(w0), |rt| {
-                rt.set_schedule(Arc::clone(&sched))
-            });
+            let run = engine_run(module, base_cfg(w0), |rt| rt.set_gate(sched.clone()));
             let mode = format!("schedule-seed={s} checks={checks}");
             if sched.timeouts() != 0 {
                 return Err(CaseFailure {

@@ -13,8 +13,9 @@
 //!
 //! # How gating works
 //!
-//! Each instrumented site in the engine wraps its effect in
-//! [`VirtualScheduler::run`]`(point, f)`:
+//! The scheduler plugs into the engine's gate seam
+//! (`MainRuntime::set_gate`), through which every worker passes its
+//! points; each one runs [`VirtualScheduler::run`]`(point, f)`:
 //!
 //! * If `point` does not appear in the remaining script, `f` runs
 //!   immediately — scripts are *partial* orders; unlisted work is
@@ -26,9 +27,10 @@
 //!
 //! Because a worker emits its own points in program order and the engine
 //! thread never blocks on the scheduler, a script that respects each
-//! worker's internal order can always make progress. Two safety valves
+//! worker's internal order can always make progress
+//! (`tests/engine_schedule.rs` pins that order). Two safety valves
 //! cover scripts that cannot: a worker retires its remaining entries
-//! when it exits ([`VirtualScheduler::retire_worker`] — e.g. it stopped
+//! when it exits ([`SchedGate::retire_worker`] — e.g. it stopped
 //! contributing because a misspeculation squashed its span), and a
 //! generous per-wait timeout force-pops the front entry rather than
 //! hanging the test (counted by [`VirtualScheduler::timeouts`], which a
@@ -43,52 +45,18 @@
 //! releases worker 0's contribution — which now arrives *after* the
 //! squash is known and must be dropped on arrival, deterministically.
 
+use crate::rng::Rng;
+use privateer_runtime::{SchedGate, SchedPoint};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// One serialization point in the engine's concurrent execution.
-///
-/// `worker` indices match [`crate::engine::EngineConfig::workers`]
-/// (0-based); `period` and `iter` are span-relative, exactly as the
-/// engine numbers them. Because each worker retires its remaining
-/// entries when it exits, a script constrains the *current* span; after
-/// a misspeculation resume the surviving entries (if any) apply to the
-/// resumed span's renumbered workers and periods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedPoint {
-    /// Worker `worker` executes iteration `iter` — the whole step (body
-    /// and checks) runs while holding the turn, so everything the
-    /// iteration publishes is visible before the next entry releases.
-    Iter {
-        /// Worker index.
-        worker: usize,
-        /// Absolute iteration number.
-        iter: i64,
-    },
-    /// Worker `worker` sends its contribution for checkpoint `period`.
-    Contribute {
-        /// Worker index.
-        worker: usize,
-        /// Span-relative checkpoint period.
-        period: u64,
-    },
-    /// Worker `worker` publishes a misspeculation (squash flag plus the
-    /// detection message, atomically under the turn).
-    Misspec {
-        /// Worker index.
-        worker: usize,
-    },
-}
-
-impl SchedPoint {
-    /// The worker that emits this point.
-    fn owner_worker(&self) -> usize {
-        match *self {
-            SchedPoint::Iter { worker, .. }
-            | SchedPoint::Contribute { worker, .. }
-            | SchedPoint::Misspec { worker } => worker,
-        }
+/// The worker that emits `point`.
+pub fn owner_worker(point: &SchedPoint) -> usize {
+    match *point {
+        SchedPoint::Iter { worker, .. }
+        | SchedPoint::Contribute { worker, .. }
+        | SchedPoint::Misspec { worker } => worker,
     }
 }
 
@@ -103,8 +71,8 @@ struct SchedState {
     timeouts: u64,
 }
 
-/// The scheduler handle, shared (via `Arc`) between the test, the engine
-/// and its worker threads. See the [module docs](self) for the
+/// The scheduler handle, shared (via `Arc`) between the test and the
+/// engine's worker threads. See the [module docs](self) for the
 /// gating protocol.
 #[derive(Debug)]
 pub struct VirtualScheduler {
@@ -133,18 +101,17 @@ impl VirtualScheduler {
 
     /// A seeded random exploration of contribution-arrival orders: every
     /// `Contribute { worker, period }` point for `workers × periods` is
-    /// scheduled in a shuffled order that preserves each worker's own
-    /// period order (any other order could never occur and would only
-    /// stall into the retire/timeout valves). The same seed always
-    /// yields the same interleaving.
+    /// scheduled in a shuffled order, drawn from [`Rng`], that preserves
+    /// each worker's own period order (any other order could never occur
+    /// and would only stall into the retire/timeout valves). The same
+    /// seed always yields the same interleaving.
     pub fn random_arrivals(workers: usize, periods: u64, seed: u64) -> Arc<VirtualScheduler> {
         let mut next = vec![0u64; workers.max(1)];
         let mut script = Vec::with_capacity(workers * periods as usize);
-        let mut s = seed;
+        let mut rng = Rng::new(seed);
         while script.len() < workers * periods as usize {
-            s = splitmix64(s);
             let live: Vec<usize> = (0..workers.max(1)).filter(|&w| next[w] < periods).collect();
-            let w = live[(s % live.len() as u64) as usize];
+            let w = live[rng.below(live.len() as u64) as usize];
             script.push(SchedPoint::Contribute {
                 worker: w,
                 period: next[w],
@@ -202,16 +169,6 @@ impl VirtualScheduler {
         }
     }
 
-    /// Remove every remaining script entry emitted by worker `w`. Called
-    /// by the engine when a worker exits (it finished its range, or a
-    /// squash stopped it mid-span), so entries the worker will never
-    /// reach cannot block the rest of the script.
-    pub fn retire_worker(&self, w: usize) {
-        let mut st = self.state.lock().expect("scheduler lock");
-        st.script.retain(|p| p.owner_worker() != w);
-        self.cv.notify_all();
-    }
-
     /// How many gates gave up waiting and force-popped the front entry.
     /// Zero for every script consistent with program order — assert this
     /// in deterministic replay tests.
@@ -232,14 +189,20 @@ impl VirtualScheduler {
     }
 }
 
-/// `splitmix64` — the same generator the injection hooks use
-/// ([`crate::worker::injected_at`]); one multiply-xor-shift chain per
-/// draw, deterministic across platforms.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+impl SchedGate for VirtualScheduler {
+    fn run(&self, point: SchedPoint, f: &mut dyn FnMut()) {
+        VirtualScheduler::run(self, point, f)
+    }
+
+    /// Remove every remaining script entry emitted by `worker`. The
+    /// engine calls this when a worker exits (it finished its range, or a
+    /// squash stopped it mid-span), so entries the worker will never
+    /// reach cannot block the rest of the script.
+    fn retire_worker(&self, worker: usize) {
+        let mut st = self.state.lock().expect("scheduler lock");
+        st.script.retain(|p| owner_worker(p) != worker);
+        self.cv.notify_all();
+    }
 }
 
 #[cfg(test)]

@@ -9,15 +9,21 @@
 //! sends, so the path went untested end-to-end (the engine's unit tests
 //! drive the committer without threads). A three-entry script makes the
 //! race a certainty.
+//!
+//! The scheduler's progress argument rests on the order in which each
+//! worker reaches its points; `gate_sees_each_workers_points_in_order`
+//! pins that order with a gate that only records.
 
+use privateer_fuzz::schedule::owner_worker;
+use privateer_fuzz::VirtualScheduler;
 use privateer_ir::builder::FunctionBuilder;
 use privateer_ir::{CmpOp, Heap, Intrinsic, Module, PlanEntry, Type, Value};
 use privateer_runtime::worker::injected_at;
 use privateer_runtime::{
-    EngineConfig, MainRuntime, SchedPoint, SequentialPlanRuntime, VirtualScheduler,
+    EngineConfig, EngineEvent, MainRuntime, SchedGate, SchedPoint, SequentialPlanRuntime,
 };
 use privateer_vm::{load_module, Interp, NopHooks};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const N: i64 = 8;
 /// Private buffer size in 8-byte cells, one cell per page so multi-page
@@ -144,7 +150,7 @@ fn scripted_late_contribution_is_dropped_on_arrival() {
         },
     );
     let sched = VirtualScheduler::scripted(script.clone());
-    rt.set_schedule(Arc::clone(&sched));
+    rt.set_gate(sched.clone());
     let mut interp = Interp::new(&m, &image, NopHooks, rt);
     interp.run_main().unwrap();
 
@@ -210,7 +216,7 @@ fn random_arrival_exploration_is_reproducible_and_agrees() {
             );
             // N=8, k=4, 2 workers -> 2 periods per worker.
             let sched = VirtualScheduler::random_arrivals(2, 2, seed);
-            rt.set_schedule(Arc::clone(&sched));
+            rt.set_gate(sched.clone());
             let mut interp = Interp::new(&m, &image, NopHooks, rt);
             interp.run_main().unwrap();
             assert_eq!(sched.timeouts(), 0, "seed {seed}: consistent script");
@@ -235,4 +241,121 @@ fn random_arrival_exploration_is_reproducible_and_agrees() {
             > 1,
         "different seeds should explore more than one interleaving"
     );
+}
+
+/// What one worker passed through the gate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Seen {
+    Point(SchedPoint),
+    Retired(usize),
+}
+
+impl Seen {
+    fn worker(self) -> usize {
+        match self {
+            Seen::Point(point) => owner_worker(&point),
+            Seen::Retired(worker) => worker,
+        }
+    }
+}
+
+/// A gate that only logs: each worker's entries land in its program
+/// order, and nothing is held back.
+#[derive(Debug, Default)]
+struct RecordingGate(Mutex<Vec<Seen>>);
+
+impl SchedGate for RecordingGate {
+    fn run(&self, point: SchedPoint, f: &mut dyn FnMut()) {
+        self.0.lock().unwrap().push(Seen::Point(point));
+        f();
+    }
+
+    fn retire_worker(&self, worker: usize) {
+        self.0.lock().unwrap().push(Seen::Retired(worker));
+    }
+}
+
+/// The gate seam's contract, per worker and per span of a free-running
+/// run, with and without the iteration-1 misspeculation: `Iter` points
+/// rise by a stride of `workers`; `Contribute` periods run 0, 1, …, each
+/// after that period's last `Iter`; a `Misspec` is the worker's last
+/// point; and the worker is retired exactly once.
+#[test]
+fn gate_sees_each_workers_points_in_order() {
+    let m = build_module();
+    let rate = 0.02;
+    let seed = seed_injecting_only_iter_1(rate);
+    let k = 4;
+    for workers in [1, 2, 5] {
+        for inject in [false, true] {
+            let image = load_module(&m);
+            let mut rt = MainRuntime::new(
+                &image,
+                EngineConfig {
+                    workers,
+                    checkpoint_period: k as u64,
+                    inject_rate: if inject { rate } else { 0.0 },
+                    inject_seed: seed,
+                },
+            );
+            let gate = Arc::new(RecordingGate::default());
+            rt.set_gate(gate.clone());
+            let mut interp = Interp::new(&m, &image, NopHooks, rt);
+            interp.run_main().unwrap();
+            assert_eq!(interp.rt.stats.misspecs, inject as u64);
+            let span_los: Vec<i64> = interp
+                .rt
+                .events
+                .iter()
+                .filter_map(|e| match e.event {
+                    EngineEvent::Invoke { lo, .. } => Some(lo),
+                    EngineEvent::ParallelResumed { at } => Some(at),
+                    _ => None,
+                })
+                .collect();
+            let log = gate.0.lock().unwrap();
+            for w in 0..workers {
+                let ctx = format!("workers={workers} inject={inject} worker={w}");
+                let mine: Vec<Seen> = log.iter().copied().filter(|s| s.worker() == w).collect();
+                let spans: Vec<&[Seen]> = mine
+                    .split_inclusive(|s| matches!(s, Seen::Retired(_)))
+                    .collect();
+                assert_eq!(
+                    spans.len(),
+                    span_los.len(),
+                    "{ctx}: one retirement per span"
+                );
+                for (span, &lo) in spans.iter().zip(&span_los) {
+                    let (last, points) = span.split_last().unwrap();
+                    assert_eq!(*last, Seen::Retired(w), "{ctx}: span ends retired");
+                    let mut prev_iter = None;
+                    let mut contributed = 0u64;
+                    for (i, seen) in points.iter().enumerate() {
+                        match *seen {
+                            Seen::Point(SchedPoint::Iter { iter, .. }) => {
+                                if let Some(prev) = prev_iter {
+                                    assert_eq!(iter - prev, workers as i64, "{ctx}: stride");
+                                }
+                                prev_iter = Some(iter);
+                                assert_eq!(
+                                    (iter - lo) / k,
+                                    contributed as i64,
+                                    "{ctx}: iteration {iter} runs after the contributions \
+                                     of earlier periods and before its own"
+                                );
+                            }
+                            Seen::Point(SchedPoint::Contribute { period, .. }) => {
+                                assert_eq!(period, contributed, "{ctx}: periods in order");
+                                contributed += 1;
+                            }
+                            Seen::Point(SchedPoint::Misspec { .. }) => {
+                                assert_eq!(i + 1, points.len(), "{ctx}: misspec is last")
+                            }
+                            Seen::Retired(_) => unreachable!("split at retirements"),
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

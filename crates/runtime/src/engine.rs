@@ -16,7 +16,6 @@
 use crate::checkpoint::{CheckpointMerge, Contribution, DeltaTracker, PeriodMerge};
 use crate::heaps::SharedHeaps;
 use crate::model::{self, SimCost};
-use crate::schedule::{SchedPoint, VirtualScheduler};
 use crate::shadow::MAX_PERIOD;
 use crate::worker::{WorkerRuntime, WorkerStats};
 use privateer_ir::inst::SHADOW_BIT;
@@ -153,6 +152,49 @@ enum Msg {
         stats: WorkerStats,
         tel: WorkerTelemetry,
     },
+}
+
+/// A point in a worker's execution that a test gate can order against
+/// other workers' points (see [`MainRuntime::set_gate`]). `worker` is
+/// 0-based, below [`EngineConfig::workers`]; `iter` is absolute and
+/// `period` span-relative, exactly as the engine numbers them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SchedPoint {
+    /// Worker `worker` executes iteration `iter`: the whole step, body
+    /// and checks.
+    Iter {
+        /// Worker index.
+        worker: usize,
+        /// Absolute iteration number.
+        iter: i64,
+    },
+    /// Worker `worker` sends its contribution for checkpoint `period`.
+    Contribute {
+        /// Worker index.
+        worker: usize,
+        /// Span-relative checkpoint period.
+        period: u64,
+    },
+    /// Worker `worker` publishes a misspeculation: the squash flag and
+    /// the detection message.
+    Misspec {
+        /// Worker index.
+        worker: usize,
+    },
+}
+
+/// Test seam: a gate every worker passes its [`SchedPoint`]s through, so
+/// a test can order them. Within one span a worker reaches its `Iter`
+/// points in ascending order, sends `Contribute` for periods 0, 1, …
+/// each after that period's last `Iter`, ends with at most one
+/// `Misspec`, and is then retired exactly once. `privateer-fuzz`
+/// implements it with its virtual scheduler.
+#[doc(hidden)]
+pub trait SchedGate: std::fmt::Debug + Send + Sync {
+    /// Run `f`, exactly once, at `point`.
+    fn run(&self, point: SchedPoint, f: &mut dyn FnMut());
+    /// Worker `worker` has exited its span and reaches no further point.
+    fn retire_worker(&self, worker: usize);
 }
 
 #[derive(Debug, PartialEq)]
@@ -500,7 +542,7 @@ pub struct MainRuntime {
     redux: Vec<(ReduxOp, u64, u64)>,
     out: Vec<u8>,
     merge: MergeFactory,
-    sched: Option<Arc<VirtualScheduler>>,
+    gate: Option<Arc<dyn SchedGate>>,
 }
 
 impl MainRuntime {
@@ -524,7 +566,7 @@ impl MainRuntime {
             redux: Vec::new(),
             out: Vec::new(),
             merge: MergeFactory(Box::new(checkpoint_merge)),
-            sched: None,
+            gate: None,
         }
     }
 
@@ -546,13 +588,11 @@ impl MainRuntime {
         self.merge = MergeFactory(Box::new(factory));
     }
 
-    /// Attach a [`VirtualScheduler`]: worker iterations, contribution
-    /// sends and misspeculation publications then rendezvous on the
-    /// scheduler's script, making a chosen interleaving deterministic and
-    /// replayable (see [`crate::schedule`]). The scheduler applies to
-    /// every subsequent invocation until replaced.
-    pub fn set_schedule(&mut self, sched: Arc<VirtualScheduler>) {
-        self.sched = Some(sched);
+    /// Test seam: pass every worker's [`SchedPoint`]s through `gate` in
+    /// each later span. Without a gate each point costs one `None` check.
+    #[doc(hidden)]
+    pub fn set_gate(&mut self, gate: Arc<dyn SchedGate>) {
+        self.gate = Some(gate);
     }
 
     /// Bytes printed so far (committed output only).
@@ -623,11 +663,11 @@ impl MainRuntime {
                 let tx = tx.clone();
                 let (flag, redux) = (&flag, &redux);
                 let wtel = self.tel.worker(w as u32 + 1);
-                let wsched = self.sched.clone();
+                let gate = self.gate.clone();
                 scope.spawn(move || {
                     worker_main(
                         w, w_count, module, code, body, lo, hi, k, cfg, worker_mem, redux, tx,
-                        flag, wtel, wsched,
+                        flag, wtel, gate,
                     );
                 });
             }
@@ -732,14 +772,13 @@ impl MainRuntime {
     }
 }
 
-/// Run `f` at `point` under the span's virtual scheduler, or directly
-/// when no scheduler is attached (the production path: one `match` on a
-/// `None`).
-fn gated<T>(sched: &Option<Arc<VirtualScheduler>>, point: SchedPoint, f: impl FnOnce() -> T) -> T {
-    match sched {
-        Some(s) => s.run(point, f),
-        None => f(),
-    }
+/// Run `f` at `point` through the span's gate, or directly without one
+/// (the production path: one check of a `None`).
+fn gated<T>(gate: &Option<Arc<dyn SchedGate>>, point: SchedPoint, f: impl FnOnce() -> T) -> T {
+    let Some(gate) = gate else { return f() };
+    let (mut f, mut out) = (Some(f), None);
+    gate.run(point, &mut || out = f.take().map(|f| f()));
+    out.expect("a gate runs each closure once")
 }
 
 fn combine_images(op: ReduxOp, acc: &mut [u8], img: &[u8]) {
@@ -773,7 +812,7 @@ fn worker_main(
     tx: mpsc::SyncSender<Msg>,
     flag: &AtomicI64,
     wtel: WorkerTelemetry,
-    sched: Option<Arc<VirtualScheduler>>,
+    gate: Option<Arc<dyn SchedGate>>,
 ) {
     let mut rt = WorkerRuntime::new(w, cfg.inject_rate, cfg.inject_seed);
     rt.tel = wtel;
@@ -800,10 +839,10 @@ fn worker_main(
                 break 'periods;
             }
             let t0 = interp.rt.tel.start();
-            // The whole step holds the scheduler turn (when scripted),
-            // so everything the iteration publishes is ordered before
-            // the next script entry releases.
-            let step = gated(&sched, SchedPoint::Iter { worker: w, iter }, || {
+            // The whole step runs inside the gate, so everything the
+            // iteration publishes lands before the gate releases another
+            // point.
+            let step = gated(&gate, SchedPoint::Iter { worker: w, iter }, || {
                 (|| -> Result<(), Trap> {
                     interp.rt.begin_iteration(iter, (iter - pbase) as u64)?;
                     interp.call_function(body, &[Val::Int(iter)])?;
@@ -819,10 +858,10 @@ fn worker_main(
                     // them, or reproduces a genuine program error.
                     _ => MisspecKind::Fault,
                 };
-                // Flag store and detection message publish atomically
-                // under the scheduler turn: a script can order the
-                // squash before or after any other point.
-                gated(&sched, SchedPoint::Misspec { worker: w }, || {
+                // Flag store and detection message publish together inside
+                // the gate: a test can order the squash before or after
+                // any other point.
+                gated(&gate, SchedPoint::Misspec { worker: w }, || {
                     flag.fetch_min(iter, Ordering::SeqCst);
                     let _ = tx.send(Msg::Misspec { iter, kind });
                 });
@@ -838,16 +877,15 @@ fn worker_main(
             delta.collect_traced(w, period, &mut interp.mem, redux, io, &mut interp.rt.tel);
         interp.rt.stats.contrib_pages +=
             (contrib.shadow_pages.len() + contrib.priv_pages.len()) as u64;
-        gated(&sched, SchedPoint::Contribute { worker: w, period }, || {
+        gated(&gate, SchedPoint::Contribute { worker: w, period }, || {
             let _ = tx.send(Msg::Contribution(Box::new(contrib)));
         });
         period += 1;
     }
-    // Whatever script entries this worker never reached (it stopped
-    // contributing when a squash ended its span) must not block the rest
-    // of the script.
-    if let Some(s) = &sched {
-        s.retire_worker(w);
+    // Points this worker never reached (a squash ended its span) must not
+    // hold up the gate.
+    if let Some(gate) = &gate {
+        gate.retire_worker(w);
     }
     let mut stats = interp.rt.stats;
     stats.insts = interp.stats.insts;

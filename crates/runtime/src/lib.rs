@@ -15,23 +15,24 @@
 //! * [`engine`] — [`engine::MainRuntime`], which implements
 //!   `parallel_invoke` by forking copy-on-write worker address spaces,
 //!   running iterations round-robin, committing checkpoints in order, and
-//!   recovering sequentially after misspeculation (Figure 5);
-//! * [`schedule`] — [`schedule::VirtualScheduler`], a deterministic
-//!   rendezvous scheduler that turns worker interleavings into
-//!   scripted, replayable data for tests and the `privfuzz` harness.
+//!   recovering sequentially after misspeculation (Figure 5). Its
+//!   workers name their [`SchedPoint`]s, which a test can order through
+//!   a hidden gate; the deterministic scheduler that does so lives in
+//!   `privateer-fuzz`.
 
 pub mod checkpoint;
 pub mod engine;
 pub mod heaps;
 pub mod model;
-pub mod schedule;
 pub mod shadow;
 pub mod simple;
 pub mod worker;
 
-pub use engine::{EngineConfig, EngineEvent, EngineStats, MainRuntime, SequentialPlanRuntime};
+pub use engine::{
+    EngineConfig, EngineEvent, EngineStats, MainRuntime, SchedGate, SchedPoint,
+    SequentialPlanRuntime,
+};
 pub use heaps::SharedHeaps;
 pub use model::SimCost;
-pub use schedule::{SchedPoint, VirtualScheduler};
 pub use simple::UncheckedDoallRuntime;
 pub use worker::{WorkerRuntime, WorkerStats};

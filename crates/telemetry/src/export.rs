@@ -145,12 +145,6 @@ pub fn json_lines(trace: &TraceData) -> String {
                     "{{\"metric\":\"{name}\",\"kind\":\"counter\",\"value\":{v}}}"
                 );
             }
-            MetricSnapshot::Gauge(v) => {
-                let _ = writeln!(
-                    out,
-                    "{{\"metric\":\"{name}\",\"kind\":\"gauge\",\"value\":{v}}}"
-                );
-            }
             MetricSnapshot::Histogram {
                 count,
                 sum,

@@ -4,7 +4,7 @@
 //! Low-overhead observability for the Privateer speculative runtime: a
 //! shared monotonic [`clock`], per-worker fixed-capacity event rings
 //! ([`ring::EventRing`]), a [`registry::MetricsRegistry`] of named
-//! counters/gauges/histograms, and exporters ([`export`]) that render a
+//! counters and histograms, and exporters ([`export`]) that render a
 //! run as JSON lines or as Chrome `trace_event` JSON loadable in
 //! `chrome://tracing`/Perfetto.
 //!
@@ -45,7 +45,7 @@ pub mod ring;
 pub use event::{Phase, SpanEvent, Stamped, ENGINE_TRACK};
 pub use export::{chrome_trace, json_lines, TraceData};
 pub use order::{assert_happens_before, assert_stamps_ordered};
-pub use registry::{Counter, Gauge, Histogram, MetricSnapshot, MetricsRegistry};
+pub use registry::{Counter, Histogram, MetricSnapshot, MetricsRegistry};
 pub use ring::EventRing;
 
 use std::sync::atomic::{AtomicU64, Ordering};

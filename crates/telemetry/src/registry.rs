@@ -1,4 +1,4 @@
-//! The metrics registry: named counters, gauges and histograms.
+//! The metrics registry: named counters and histograms.
 //!
 //! Naming convention: dot-separated lowercase paths, subsystem first —
 //! `priv.fast_words`, `checkpoint.contrib_pages`, `engine.misspecs`,
@@ -8,7 +8,7 @@
 //! typically at drain points (end of a period or span), never per byte.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing counter.
@@ -24,23 +24,6 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value gauge.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Set the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -87,16 +70,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Mean sample (0 if empty).
-    pub fn mean(&self) -> f64 {
-        let c = self.count();
-        if c == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / c as f64
-        }
-    }
-
     /// Upper bound (exclusive) of the highest non-empty bucket — a cheap
     /// max estimate.
     pub fn max_bound(&self) -> u64 {
@@ -112,7 +85,6 @@ impl Histogram {
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Counter),
-    Gauge(Gauge),
     Histogram(Histogram),
 }
 
@@ -121,8 +93,6 @@ enum Metric {
 pub enum MetricSnapshot {
     /// Counter value.
     Counter(u64),
-    /// Gauge value.
-    Gauge(i64),
     /// Histogram summary.
     Histogram {
         /// Sample count.
@@ -162,22 +132,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Get or register the gauge `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut m = self.metrics.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::default()))
-        {
-            Metric::Gauge(g) => g.clone(),
-            other => panic!("metric `{name}` is already a {}", kind_name(other)),
-        }
-    }
-
     /// Get or register the histogram `name`.
     ///
     /// # Panics
@@ -201,7 +155,6 @@ impl MetricsRegistry {
             .map(|(name, metric)| {
                 let snap = match metric {
                     Metric::Counter(c) => MetricSnapshot::Counter(c.get()),
-                    Metric::Gauge(g) => MetricSnapshot::Gauge(g.get()),
                     Metric::Histogram(h) => MetricSnapshot::Histogram {
                         count: h.count(),
                         sum: h.sum(),
@@ -217,7 +170,6 @@ impl MetricsRegistry {
 fn kind_name(m: &Metric) -> &'static str {
     match m {
         Metric::Counter(_) => "counter",
-        Metric::Gauge(_) => "gauge",
         Metric::Histogram(_) => "histogram",
     }
 }
@@ -241,11 +193,8 @@ mod tests {
     }
 
     #[test]
-    fn gauge_and_histogram() {
+    fn histogram_records_count_sum_and_bound() {
         let r = MetricsRegistry::new();
-        let g = r.gauge("engine.workers");
-        g.set(8);
-        assert_eq!(g.get(), 8);
         let h = r.histogram("merge.ns");
         h.record(0);
         h.record(5);
@@ -253,7 +202,6 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum(), 1005);
         assert!(h.max_bound() >= 1000);
-        assert!((h.mean() - 335.0).abs() < 1.0);
     }
 
     #[test]
@@ -261,7 +209,7 @@ mod tests {
     fn kind_mismatch_panics() {
         let r = MetricsRegistry::new();
         let _ = r.counter("x");
-        let _ = r.gauge("x");
+        let _ = r.histogram("x");
     }
 
     #[test]
